@@ -2,11 +2,11 @@
 
    Three modes:
    - no arguments: bechamel micro-benchmarks of the compute kernels
-     (bignum arithmetic, CRT vs Garner encoding, the per-packet forwarding
-     decision, the exact Markov analysis, the event engine) as a text
-     table, then regeneration of every table and figure of the paper
-     (quick profile by default; KAR_PROFILE=paper for the published
-     durations);
+     (bignum arithmetic, machine-int vs bignum Garner encoding, the
+     per-packet forwarding decision, the exact Markov analysis, the event
+     engine) as a text table, then regeneration of every table and figure
+     of the paper (quick profile by default; KAR_PROFILE=paper for the
+     published durations);
    - [--json FILE]: machine-readable run — micro-benchmarks plus an
      end-to-end netsim throughput probe and a steady-state allocation
      counter, written to FILE as one flat JSON object (the perf
@@ -64,8 +64,9 @@ let tests =
       (Staged.stage
          (let m = Z.of_int 1009 in
           fun () -> Z.to_int_exn (Z.erem big_a m)));
-    (* RNS encoding: direct CRT vs Garner (ablation: reconstruction cost) *)
-    Test.make ~name:"rns/encode-crt-10sw"
+    (* RNS encoding: machine-int Garner digits vs the all-bignum Garner
+       (ablation: reconstruction cost) *)
+    Test.make ~name:"rns/encode-10sw"
       (Staged.stage (fun () -> Rns.encode residues_full));
     Test.make ~name:"rns/encode-garner-10sw"
       (Staged.stage (fun () -> Rns.encode_garner residues_full));
@@ -206,6 +207,15 @@ let tests =
       (Staged.stage (fun () -> Kar.Controller.scenario_plan net15 Kar.Controller.Full));
     Test.make ~name:"kar/plan-rnp-partial"
       (Staged.stage (fun () -> Kar.Controller.scenario_plan rnp Kar.Controller.Partial));
+    (* the serving planner on the 32-switch testbed at full protection:
+       ~30 tree hops, skipped at the residue level and encoded once *)
+    Test.make ~name:"kar/plan-gen32-full"
+      (Staged.stage
+         (let g = Experiments.Service.testbed () in
+          let hosts = Topo.Graph.edge_nodes g in
+          let src = List.hd hosts and dst = List.nth hosts (List.length hosts - 1) in
+          fun () ->
+            Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Full));
     (* event engine throughput *)
     Test.make ~name:"netsim/engine-1000-events"
       (Staged.stage (fun () ->

@@ -106,30 +106,31 @@ let route ?usable g ~src ~dst ~protection =
   let base = Route.of_labels_exn g labels ~egress_label:(Graph.label g dst) in
   Route.protect_exn g base protection
 
-(* Per-pair protection planning for arbitrary (src, dst) pairs — the
-   scenario bundles pin their protection hops by hand to match the paper's
-   figures, but the resilience verifier sweeps every edge pair, so it needs
-   the same recipe applied uniformly: a shortest-path tree toward the
-   egress core switch over the off-path members the level selects (radius-1
-   neighbours for partial, the whole component for full). *)
-let protected_route g ~src ~dst ~level =
-  let core = core_route g ~src ~dst in
+(* The one planner for protected routes.  The scenario bundles pin their
+   protection hops by hand to match the paper's figures; every other
+   caller (the verifier sweep, the serving layer, the adversarial
+   scheduler, the experiments) applies the same recipe uniformly: a
+   shortest path over the usable links, then a shortest-path tree toward
+   the egress core switch over the off-path members the level selects
+   (radius-1 neighbours for partial, the whole component for full), with
+   conflicting hops skipped and the route ID encoded once. *)
+let protected_route ?usable g ~src ~dst ~level =
+  let core = core_route ?usable g ~src ~dst in
   let dest =
     match List.rev core with
     | last :: _ -> last
     | [] ->
       invalid_arg "Controller.protected_route: route transits no core switch"
   in
-  let members =
-    match level with
-    | Unprotected -> []
-    | Partial -> Protection.off_path_members g ~path:core ~radius:1
-    | Full -> Protection.full_members g ~path:core
-  in
-  let hops = Protection.tree_hops g ~dest members in
   let labels = List.map (Graph.label g) core in
   let base = Route.of_labels_exn g labels ~egress_label:(Graph.label g dst) in
-  Route.protect_exn g base hops
+  let protect members =
+    Route.protect_skipping g base (Protection.tree_hops g ~dest members)
+  in
+  match level with
+  | Unprotected -> base
+  | Partial -> protect (Protection.off_path_members g ~path:core ~radius:1)
+  | Full -> protect (Protection.full_members g ~path:core)
 
 (* Edge-disjoint route plans between two edge nodes: greedy shortest-path
    extraction (Topo.Paths.edge_disjoint_paths) over the core, each path

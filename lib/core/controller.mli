@@ -44,15 +44,22 @@ val route :
   ?usable:(Graph.link -> bool) ->
   Graph.t -> src:Graph.node -> dst:Graph.node -> protection:(int * int) list -> Route.plan
 
-(** [protected_route g ~src ~dst ~level] plans a shortest-path route and
-    folds in protection computed uniformly for the pair (rather than the
-    hand-pinned scenario hops): a shortest-path tree rooted at the egress
-    core switch over the off-path members the level selects — radius-1
-    neighbours of the path for [Partial], every off-path core switch in
-    the component for [Full].  This is the planner the resilience
-    verifier sweeps across all edge pairs.
-    @raise Invalid_argument when no path exists or encoding fails. *)
+(** [protected_route ?usable g ~src ~dst ~level] is the planner for
+    protected routes: a shortest path between two edge nodes over the
+    [usable] links (default: all), then protection computed uniformly for
+    the pair (rather than the hand-pinned scenario hops) — a shortest-path
+    tree on the full graph, rooted at the egress core switch, over the
+    off-path members the level selects: radius-1 neighbours of the path for
+    [Partial], every off-path core switch in the component for [Full].
+    Tree hops that cannot join the route ID (a port the switch ID cannot
+    represent, a switch ID sharing a factor with the residues already
+    kept) are skipped, not raised on, and the route ID is encoded once
+    ({!Route.protect_skipping}).  The resilience verifier, the serving
+    layer and the adversarial scenario scheduler all plan through it.
+    @raise Invalid_argument when no path exists or the primary path cannot
+    be encoded. *)
 val protected_route :
+  ?usable:(Graph.link -> bool) ->
   Graph.t -> src:Graph.node -> dst:Graph.node -> level:level -> Route.plan
 
 (** [disjoint_plans g ~src ~dst ~k] plans up to [k] mutually edge-disjoint

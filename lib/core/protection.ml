@@ -48,14 +48,11 @@ let full_members g ~path =
   off_path_members g ~path ~radius:max_int
 
 let select_within_budget g ~plan ~dest ~members ~bits =
-  let hops = tree_hops g ~dest members in
-  List.fold_left
-    (fun (plan, chosen) hop ->
-      match Route.protect g plan [ hop ] with
-      | Ok candidate when candidate.Route.bit_length <= bits ->
-        (candidate, chosen @ [ hop ])
-      | Ok _ | Error _ -> (plan, chosen))
-    (plan, []) hops
+  let extended =
+    Route.protect_skipping ~max_bits:bits g plan (tree_hops g ~dest members)
+  in
+  let already = List.length plan.Route.protection in
+  (extended, List.filteri (fun i _ -> i >= already) extended.Route.protection)
 
 let coverage g ~plan ~failed =
   let failed_link = Graph.link g failed in

@@ -17,6 +17,7 @@ type error =
   | Not_core of int
   | Port_not_encodable of int * int
   | Duplicate_switch of int
+  | Unknown_switch of int
 
 let pp_error ppf = function
   | Rns_error e -> Rns.pp_error ppf e
@@ -27,8 +28,21 @@ let pp_error ppf = function
   | Duplicate_switch s ->
     Format.fprintf ppf
       "SW%d already carries a residue; a switch can appear only once per route ID" s
+  | Unknown_switch l -> Format.fprintf ppf "no node is labelled %d" l
 
 let ( let* ) = Result.bind
+
+let node g label =
+  match Graph.find_label g label with
+  | Some v -> Ok v
+  | None -> Error (Unknown_switch label)
+
+let rec nodes g = function
+  | [] -> Ok []
+  | l :: rest ->
+    let* v = node g l in
+    let* vs = nodes g rest in
+    Ok (v :: vs)
 
 (* Build a residue for switch node [v] exiting through [port]. *)
 let residue g v port =
@@ -92,26 +106,29 @@ let of_core_path g path ~egress_port =
     encode_plan ~core_path:path ~protection:[] rs
 
 let of_labels g labels ~egress_label =
-  let nodes = List.map (Graph.node_of_label g) labels in
+  let* nodes = nodes g labels in
   match List.rev nodes with
   | [] -> Error (Rns_error Rns.Empty_system)
   | last :: _ ->
-    let egress = Graph.node_of_label g egress_label in
+    let* egress = node g egress_label in
     (match Graph.port_towards g last egress with
      | None -> Error (Not_adjacent (Graph.label g last, egress_label))
      | Some p -> of_core_path g nodes ~egress_port:p)
 
+(* The residue a protection hop [(switch, next)] adds to a plan. *)
+let hop_residue g (s_label, next_label) =
+  let* s = node g s_label in
+  let* next = node g next_label in
+  match Graph.port_towards g s next with
+  | None -> Error (Not_adjacent (s_label, next_label))
+  | Some p -> residue g s p
+
 let protect g plan hops =
   let rec build acc = function
     | [] -> Ok (List.rev acc)
-    | (s_label, next_label) :: rest ->
-      let s = Graph.node_of_label g s_label in
-      let next = Graph.node_of_label g next_label in
-      (match Graph.port_towards g s next with
-       | None -> Error (Not_adjacent (s_label, next_label))
-       | Some p ->
-         let* r = residue g s p in
-         build (r :: acc) rest)
+    | hop :: rest ->
+      let* r = hop_residue g hop in
+      build (r :: acc) rest
   in
   let* extra = build [] hops in
   let residues = plan.residues @ extra in
@@ -119,6 +136,37 @@ let protect g plan hops =
   encode_plan ~core_path:plan.core_path ~protection:(plan.protection @ hops) residues
 
 let raise_error e = invalid_arg (Format.asprintf "Route: %a" pp_error e)
+
+(* The per-hop fold [protect g acc [hop]] (keeping [acc] on error) re-runs
+   the whole CRT for every hop.  Each of its checks depends only on the
+   residues accepted so far, so they run here against the running modulus
+   product instead: a new switch ID [s > 1] is accepted iff it is coprime
+   with that product, which also rules out a duplicate switch.  The
+   accepted residues are then encoded once; by uniqueness of the CRT value
+   below the modulus the plan equals the fold's, field for field. *)
+let protect_skipping ?(max_bits = max_int) g plan hops =
+  let rec go m extra kept = function
+    | [] -> (List.rev extra, List.rev kept)
+    | hop :: rest ->
+      (match hop_residue g hop with
+       | Ok r
+         when r.Rns.modulus > 1
+              && Rns.coprime r.Rns.modulus (Z.rem_int m r.Rns.modulus) ->
+         let m' = Z.mul m (Z.of_int r.Rns.modulus) in
+         if Rns.bit_length_bound m' <= max_bits then
+           go m' (r :: extra) (hop :: kept) rest
+         else go m extra kept rest
+       | Ok _ | Error _ -> go m extra kept rest)
+  in
+  match go plan.modulus [] [] hops with
+  | [], _ -> plan
+  | extra, kept ->
+    (match
+       encode_plan ~core_path:plan.core_path
+         ~protection:(plan.protection @ kept) (plan.residues @ extra)
+     with
+     | Ok p -> p
+     | Error e -> raise_error e)
 
 let of_labels_exn g labels ~egress_label =
   match of_labels g labels ~egress_label with

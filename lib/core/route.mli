@@ -33,6 +33,7 @@ type error =
   | Duplicate_switch of int
       (** a switch can carry only one residue per route ID (the paper's
           intrinsic constraint discussed around Fig. 8) *)
+  | Unknown_switch of int (** a label no node of the graph carries *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -52,6 +53,16 @@ val of_labels : Topo.Graph.t -> int list -> egress_label:int -> (plan, error) re
     with the extra residues (still one CRT; order irrelevant by Eq. 4
     commutativity). *)
 val protect : Topo.Graph.t -> plan -> (int * int) list -> (plan, error) result
+
+(** [protect_skipping ?max_bits g plan hops] folds in every hop of [hops]
+    that [protect] would accept one at a time, skipping the rest: the
+    result equals folding [fun acc hop -> protect g acc [hop]] over [hops]
+    and keeping [acc] on [Error], but checks each hop against the running
+    modulus product and runs the CRT once.  A hop is also skipped when it
+    would take the plan's [bit_length] past [max_bits] (default:
+    unbounded).  Returns [plan] itself when no hop is accepted. *)
+val protect_skipping :
+  ?max_bits:int -> Topo.Graph.t -> plan -> (int * int) list -> plan
 
 (** [protect_exn], [of_labels_exn]: raising variants for scenario code
     where failure is a programming error. *)

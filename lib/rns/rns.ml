@@ -60,70 +60,73 @@ let validate residues =
     check residues
   end
 
-(* Direct CRT summation (paper Eq. 4): R = < sum p_i * M_i * L_i >_M with
-   M_i = M / s_i and L_i = <M_i^{-1}>_{s_i}. *)
-let crt_sum residues =
-  let m = modulus_product (List.map (fun r -> r.modulus) residues) in
-  let term acc r =
-    let s = Z.of_int r.modulus in
-    let mi = Z.div m s in
-    let li =
-      match Z.invmod mi s with
-      | Some inv -> inv
-      | None -> assert false (* validated pairwise coprime *)
-    in
-    Z.add acc (Z.mul (Z.of_int r.value) (Z.mul mi li))
-  in
-  let total = List.fold_left term Z.zero residues in
-  (Z.erem total m, m)
+(* Garner's mixed-radix reconstruction (the paper's Eq. 4 value, built
+   digit by digit): R = d_1 + d_2*s_1 + d_3*s_1*s_2 + ..., each digit
+   d_i = (p_i - acc) * (s_1...s_{i-1})^{-1} mod s_i needing one inverse
+   modulo the single small s_i.  Below [Nat.base] the digit is computed in
+   machine ints — [Z.rem_int] of the accumulator and of the prefix product,
+   then a native extended Euclid — and every product stays below 2^62.
+   From [Nat.base] up ([~native:false] forces it everywhere) the digit
+   takes the [Z] path, where [s * s] cannot overflow. *)
 
-let encode residues =
+(* [q^{-1} mod s] for [gcd q s = 1], [0 <= q < s]. *)
+let inv_int q s =
+  let rec go r0 r1 t0 t1 =
+    if r1 = 0 then if r0 = 1 then t0 else assert false (* validated coprime *)
+    else
+      let k = r0 / r1 in
+      go r1 (r0 - (k * r1)) t1 (t0 - (k * t1))
+  in
+  let t = go s q 0 1 in
+  if t < 0 then t + s else t
+
+let digit ~native acc prod { modulus = s; value = p } =
+  if native && s < Bignum.Nat.base then
+    let a = Z.rem_int acc s in
+    (p - a + s) mod s * inv_int (Z.rem_int prod s) s mod s
+  else begin
+    let zs = Z.of_int s in
+    let inv =
+      match Z.invmod prod zs with
+      | Some inv -> inv
+      | None -> assert false (* validated coprime *)
+    in
+    Z.to_int_exn (Z.erem (Z.mul (Z.sub (Z.of_int p) acc) inv) zs)
+  end
+
+(* Fold residues into [(acc, prod)]: the value so far and the modulus it is
+   unique below.  Returns the digits in reverse. *)
+let garner ~native (acc, prod) residues =
+  List.fold_left
+    (fun (acc, prod, digits) r ->
+      let d = digit ~native acc prod r in
+      ( Z.add acc (Z.mul prod (Z.of_int d)),
+        Z.mul prod (Z.of_int r.modulus),
+        d :: digits ))
+    (acc, prod, []) residues
+
+let encode_with ~native residues =
   match validate residues with
   | Error _ as e -> e
-  | Ok () -> Ok (crt_sum residues)
+  | Ok () ->
+    let value, modulus, _ = garner ~native (Z.zero, Z.one) residues in
+    Ok (value, modulus)
+
+let encode residues = encode_with ~native:true residues
 
 let encode_exn residues =
   match encode residues with
   | Ok v -> v
   | Error e -> invalid_arg ("Rns.encode: " ^ error_to_string e)
 
-(* Garner's algorithm: build the value as a mixed-radix expansion
-   R = d_1 + d_2*s_1 + d_3*s_1*s_2 + ...; each digit needs only one modular
-   inverse modulo a single small s_i. *)
-let garner_digits residues =
-  let rec go acc prefix_product digits = function
-    | [] -> List.rev digits
-    | r :: rest ->
-      let s = Z.of_int r.modulus in
-      (* digit = (p_i - acc) * prefix_product^{-1} mod s_i *)
-      let inv =
-        match Z.invmod prefix_product s with
-        | Some inv -> inv
-        | None -> assert false
-      in
-      let d = Z.erem (Z.mul (Z.sub (Z.of_int r.value) acc) inv) s in
-      let acc = Z.add acc (Z.mul d prefix_product) in
-      go acc (Z.mul prefix_product s) (d :: digits) rest
-  in
-  go Z.zero Z.one [] residues
-
-let encode_garner residues =
-  match validate residues with
-  | Error _ as e -> e
-  | Ok () ->
-    let digits = garner_digits residues in
-    let value, modulus =
-      List.fold_left2
-        (fun (acc, prod) d r ->
-          (Z.add acc (Z.mul d prod), Z.mul prod (Z.of_int r.modulus)))
-        (Z.zero, Z.one) digits residues
-    in
-    Ok (value, modulus)
+let encode_garner residues = encode_with ~native:false residues
 
 let mixed_radix residues =
   match validate residues with
   | Error _ as e -> e
-  | Ok () -> Ok (garner_digits residues)
+  | Ok () ->
+    let _, _, digits = garner ~native:true (Z.zero, Z.one) residues in
+    Ok (List.rev_map Z.of_int digits)
 
 (* The single validated entry point for the data-plane operation: the
    [switch_id > 0] check lives in [Z.rem_int] (which every caller funnels
@@ -146,18 +149,10 @@ let extend ~route_id ~modulus extra =
     (match conflict with
      | Some r -> Error (Modulus_conflict r.modulus)
      | None ->
-       (* Combine (route_id mod modulus) with each new residue by pairwise
-          CRT: R' = route_id + modulus * t where
-          t = (p - route_id) * modulus^{-1} mod s. *)
-       let step (rid, m) r =
-         let s = Z.of_int r.modulus in
-         let inv =
-           match Z.invmod m s with Some inv -> inv | None -> assert false
-         in
-         let t = Z.erem (Z.mul (Z.sub (Z.of_int r.value) rid) inv) s in
-         (Z.add rid (Z.mul m t), Z.mul m s)
-       in
-       Ok (List.fold_left step (route_id, modulus) extra))
+       (* Garner continued from the old system: R' = route_id + modulus * t
+          with t = (p - route_id) * modulus^{-1} mod s, per new residue. *)
+       let value, modulus, _ = garner ~native:true (route_id, modulus) extra in
+       Ok (value, modulus))
 
 let bit_length_bound m =
   if Z.compare m Z.one <= 0 then 0 else Z.bit_length (Z.sub m Z.one)

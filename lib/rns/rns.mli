@@ -41,16 +41,20 @@ val modulus_product : int list -> Z.t
 
 (** [encode residues] is [Ok (route_id, m)] where [route_id] is the CRT
     reconstruction (Eq. 4) and [m] the modulus product, or an [error] when
-    the system is invalid. *)
+    the system is invalid.  The value is built by Garner's mixed-radix
+    recurrence with each digit computed in machine ints ([Z.rem_int] of the
+    running value and prefix product, a native extended-Euclid inverse);
+    moduli from [Bignum.Nat.base] up take the [Z] path instead. *)
 val encode : residue list -> (Z.t * Z.t, error) result
 
 (** [encode_exn residues] is [encode], raising [Invalid_argument] with the
     rendered error. *)
 val encode_exn : residue list -> Z.t * Z.t
 
-(** [encode_garner residues] reconstructs the same route ID with Garner's
-    mixed-radix algorithm — fewer large multiplications than the direct CRT
-    summation; used as an ablation and a cross-check. *)
+(** [encode_garner residues] is {!encode} with every digit on the [Z]
+    path (bignum inverse of the prefix product) — the arithmetic {!encode}
+    falls back to for large moduli, exposed as a cross-check of its
+    machine-int path and as an ablation. *)
 val encode_garner : residue list -> (Z.t * Z.t, error) result
 
 (** [decode route_id ids] extracts the output port at each switch:

@@ -12,10 +12,12 @@
     storm and the hit ratio recovers as the cache refills against the new
     epoch.
 
-    Plans are computed with {!Kar.Controller.route} restricted to the
-    currently-failed link set, so post-failure plans route around known
-    failures; protection members and their tree hops are recomputed per plan
-    exactly as the offline experiments do.
+    Plans are computed with the controller's single planner,
+    {!Kar.Controller.protected_route}, its path search restricted to the
+    links not currently failed, so post-failure plans route around known
+    failures.  Protection members and their tree hops are recomputed per
+    plan on the failure-free graph; hops that cannot join the route ID
+    are skipped at the residue level and the route ID is encoded once.
 
     Every virtual timestamp in the run (arrivals, dispatches, completions)
     is independent of the real pool width, so reports and event streams are

@@ -672,6 +672,165 @@ let test_controller_route_follows_shortest () =
   (* shortest AS1 -> AS3 is via the primary 10-7-13-29 (4 core hops) *)
   Alcotest.(check int) "4 switches" 4 (List.length plan.Kar.Route.residues)
 
+(* --- One planner: residue-level skipping vs the per-hop fold --- *)
+
+(* The reference oracle: the per-hop planner [Controller.protected_route]
+   replaced.  One [Route.protect] per tree hop, each re-encoding the whole
+   CRT, keeping the plan so far when the hop is rejected. *)
+let fold_planner ?usable g ~src ~dst ~level =
+  let base = Kar.Controller.route ?usable g ~src ~dst ~protection:[] in
+  let members path =
+    match level with
+    | Kar.Controller.Unprotected -> []
+    | Kar.Controller.Partial -> Kar.Protection.off_path_members g ~path ~radius:1
+    | Kar.Controller.Full -> Kar.Protection.full_members g ~path
+  in
+  match List.rev base.Kar.Route.core_path with
+  | [] -> base
+  | dest :: _ ->
+    let path = base.Kar.Route.core_path in
+    let path_labels = List.map (Graph.label g) path in
+    Kar.Protection.tree_hops g ~dest (members path)
+    |> List.filter (fun (s, _) -> not (List.mem s path_labels))
+    |> List.fold_left
+         (fun acc hop ->
+           match Kar.Route.protect g acc [ hop ] with
+           | Ok plan -> plan
+           | Error _ -> acc)
+         base
+
+let same_plan (a : Kar.Route.plan) (b : Kar.Route.plan) =
+  Z.equal a.Kar.Route.route_id b.Kar.Route.route_id
+  && Z.equal a.Kar.Route.modulus b.Kar.Route.modulus
+  && a.Kar.Route.residues = b.Kar.Route.residues
+  && a.Kar.Route.core_path = b.Kar.Route.core_path
+  && a.Kar.Route.protection = b.Kar.Route.protection
+  && a.Kar.Route.bit_length = b.Kar.Route.bit_length
+  && a.Kar.Route.residue_ports = b.Kar.Route.residue_ports
+
+let outcome f = match f () with p -> Some p | exception Invalid_argument _ -> None
+
+(* A generated topology with valid switch IDs, then up to three core
+   switches relabelled into conflicts: a small ID (ports at or above it are
+   unencodable) or a multiple of another switch's ID (not coprime), so the
+   planners really have hops to skip.  One edge host per core switch. *)
+let conflicted_graph rng =
+  let base =
+    match Util.Prng.int rng 3 with
+    | 0 -> Topo.Gen.gnp ~n:(6 + Util.Prng.int rng 8) ~p:0.35 ~seed:(Util.Prng.int rng 10_000)
+    | 1 ->
+      Topo.Gen.waxman ~n:(6 + Util.Prng.int rng 10) ~alpha:0.9 ~beta:0.4
+        ~seed:(Util.Prng.int rng 10_000)
+    | _ -> Topo.Gen.torus ~w:(3 + Util.Prng.int rng 2) ~h:(3 + Util.Prng.int rng 2)
+  in
+  let strategy =
+    if Util.Prng.bool rng then Kar.Ids.Prime_powers else Kar.Ids.Primes_ascending
+  in
+  let g = Kar.Ids.assign base strategy in
+  let cores = Array.of_list (Graph.core_nodes g) in
+  let mapping = Array.init (Graph.n_nodes g) (Graph.label g) in
+  for _ = 1 to Util.Prng.int rng 4 do
+    let v = Util.Prng.choice rng cores in
+    let label =
+      if Util.Prng.bool rng then 2 + Util.Prng.int rng 3
+      else (2 + Util.Prng.int rng 2) * mapping.(Util.Prng.choice rng cores)
+    in
+    if not (Array.mem label mapping) then mapping.(v) <- label
+  done;
+  let g = Graph.relabel g mapping in
+  fst (Topo.Gen.with_edge_hosts g (Graph.core_nodes g))
+
+let prop_planner_matches_fold =
+  qtest ~count:150 "protected_route = per-hop protect fold (gnp/waxman/torus)"
+    QCheck2.Gen.(0 -- 1_000_000)
+    (fun seed ->
+      let rng = Util.Prng.of_int seed in
+      let g = conflicted_graph rng in
+      let hosts = Array.of_list (Graph.edge_nodes g) in
+      let src = Util.Prng.choice rng hosts and dst = Util.Prng.choice rng hosts in
+      let failed =
+        List.filter_map
+          (fun (l : Graph.link) ->
+            if Util.Prng.int rng 6 = 0 then Some l.Graph.id else None)
+          (Graph.links g)
+      in
+      let usable (l : Graph.link) = not (List.mem l.Graph.id failed) in
+      List.for_all
+        (fun level ->
+          match
+            ( outcome (fun () ->
+                  Kar.Controller.protected_route ~usable g ~src ~dst ~level),
+              outcome (fun () -> fold_planner ~usable g ~src ~dst ~level) )
+          with
+          | Some a, Some b -> same_plan a b
+          | None, None -> true
+          | Some _, None | None, Some _ -> false)
+        Kar.Controller.all_levels)
+
+(* Path 1000 - SW5 - SW7 - 1001 with three off-path neighbours of SW7:
+   SW2 reaches SW7 through its port 2 (unencodable: port >= ID), SW14
+   shares the factor 7 with the path, and SW11 is clean. *)
+let conflict_graph () =
+  let b = Graph.Builder.create () in
+  let core l = Graph.Builder.add_node b ~kind:Graph.Core l in
+  let sw5 = core 5 and sw7 = core 7 and sw2 = core 2 in
+  let sw11 = core 11 and sw14 = core 14 in
+  let h0 = Graph.Builder.add_node b ~kind:Graph.Edge 1000 in
+  let h1 = Graph.Builder.add_node b ~kind:Graph.Edge 1001 in
+  List.iter
+    (fun (u, v) -> ignore (Graph.Builder.add_link b u v))
+    [ (h0, sw5); (sw5, sw7); (sw7, h1); (sw2, sw5); (sw2, sw11); (sw2, sw7);
+      (sw11, sw7); (sw14, sw7) ];
+  (Graph.Builder.finish b, h0, h1)
+
+let test_planner_skips_conflicts () =
+  let g, src, dst = conflict_graph () in
+  let base =
+    Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Unprotected
+  in
+  (match Kar.Route.protect g base [ (2, 7) ] with
+   | Error (Kar.Route.Port_not_encodable (2, 2)) -> ()
+   | Error _ | Ok _ -> Alcotest.fail "expected SW2 port 2 unencodable");
+  (match Kar.Route.protect g base [ (14, 7) ] with
+   | Error (Kar.Route.Rns_error (Rns.Not_pairwise_coprime _)) -> ()
+   | Error _ | Ok _ -> Alcotest.fail "expected SW14 not coprime with SW7");
+  let skipped = Kar.Route.protect_skipping g base [ (2, 7); (14, 7); (11, 7) ] in
+  Alcotest.(check (list (pair int int))) "only SW11 kept" [ (11, 7) ]
+    skipped.Kar.Route.protection;
+  Alcotest.(check (list (triple int int int))) "Eq. 3 holds" []
+    (Kar.Route.verify skipped);
+  let full = Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Full in
+  Alcotest.(check bool) "planner = fold" true
+    (same_plan full (fold_planner g ~src ~dst ~level:Kar.Controller.Full));
+  Alcotest.(check (list (pair int int))) "planner keeps SW11 only" [ (11, 7) ]
+    full.Kar.Route.protection
+
+let test_skipping_nothing_kept () =
+  let g, src, dst = conflict_graph () in
+  let base =
+    Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Unprotected
+  in
+  Alcotest.(check bool) "plan returned unchanged" true
+    (Kar.Route.protect_skipping g base [ (2, 7); (14, 7); (5, 2); (99, 7) ] == base)
+
+let test_unknown_switch () =
+  let g = Nets.net15.Nets.graph in
+  (match Kar.Route.of_labels g [ 10; 999 ] ~egress_label:1003 with
+   | Error (Kar.Route.Unknown_switch 999) -> ()
+   | Error _ | Ok _ -> Alcotest.fail "expected Unknown_switch 999 in the path");
+  (match Kar.Route.of_labels g [ 10; 7; 13; 29 ] ~egress_label:4242 with
+   | Error (Kar.Route.Unknown_switch 4242) -> ()
+   | Error _ | Ok _ -> Alcotest.fail "expected Unknown_switch 4242 as egress");
+  let base = Kar.Route.of_labels_exn g [ 10; 7; 13; 29 ] ~egress_label:1003 in
+  List.iter
+    (fun hop ->
+      match Kar.Route.protect g base [ hop ] with
+      | Error (Kar.Route.Unknown_switch 999) -> ()
+      | Error _ | Ok _ -> Alcotest.fail "expected Unknown_switch 999 in a hop")
+    [ (999, 7); (11, 999) ];
+  Alcotest.(check string) "rendered" "no node is labelled 999"
+    (Format.asprintf "%a" Kar.Route.pp_error (Kar.Route.Unknown_switch 999))
+
 (* --- Walk vs Markov agreement --- *)
 
 let walk_matches_markov sc level policy fidx =
@@ -900,6 +1059,7 @@ let () =
           Alcotest.test_case "fig1 route IDs" `Quick test_route_fig1;
           Alcotest.test_case "table 1 bit lengths" `Quick test_route_table1_bits;
           Alcotest.test_case "error paths" `Quick test_route_errors;
+          Alcotest.test_case "unknown switch label" `Quick test_unknown_switch;
           Alcotest.test_case "verify catches corruption" `Quick test_route_verify_catches_mismatch;
           Alcotest.test_case "next_hop matches residues" `Quick test_next_hop_matches_residues;
         ] );
@@ -931,6 +1091,11 @@ let () =
           Alcotest.test_case "disjoint plans" `Quick test_disjoint_plans;
           Alcotest.test_case "disjoint plans survive each other" `Quick
             test_disjoint_plans_survive_each_other;
+          prop_planner_matches_fold;
+          Alcotest.test_case "planner skips conflicting hops" `Quick
+            test_planner_skips_conflicts;
+          Alcotest.test_case "skipping every hop keeps the plan" `Quick
+            test_skipping_nothing_kept;
         ] );
       ( "analysis",
         [

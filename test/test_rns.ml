@@ -4,7 +4,8 @@
    randomized CRT properties: roundtrip, uniqueness below the modulus
    product, order independence of the residue list (the commutativity that
    makes driven-deflection protection possible), incremental extension, and
-   agreement between the direct CRT summation and Garner's algorithm. *)
+   agreement of the machine-int Garner encode with the all-bignum Garner
+   and with the direct CRT summation, kept here as the reference. *)
 
 module Z = Bignum.Z
 
@@ -134,11 +135,72 @@ let prop_order_independent =
       let r2, m2 = Rns.encode_exn (List.rev rs) in
       Z.equal r1 r2 && Z.equal m1 m2)
 
+(* Direct CRT summation (paper Eq. 4), the reference the encoders must
+   match: R = < sum p_i * M_i * L_i >_M with M_i = M / s_i and
+   L_i = <M_i^{-1}>_{s_i}. *)
+let crt_sum residues =
+  let m = Rns.modulus_product (List.map (fun r -> r.Rns.modulus) residues) in
+  let term acc r =
+    let s = Z.of_int r.Rns.modulus in
+    let mi = Z.div m s in
+    match Z.invmod mi s with
+    | Some li -> Z.add acc (Z.mul (Z.of_int r.Rns.value) (Z.mul mi li))
+    | None -> Alcotest.fail "reference CRT: moduli not coprime"
+  in
+  (Z.erem (List.fold_left term Z.zero residues) m, m)
+
+(* Pairwise-coprime systems of log-uniform moduli up to 2^62: about half
+   the moduli are at or above [Nat.base] (the [Z] fallback of the encode
+   digit), the rest take the machine-int path. *)
+let gen_wide_system =
+  QCheck2.Gen.(
+    let modulus =
+      let* bits = 2 -- 62 in
+      int_range (1 lsl (bits - 1)) ((1 lsl (bits - 1)) - 1 + (1 lsl (bits - 1)))
+    in
+    let* candidates = list_size (6 -- 14) modulus in
+    let moduli =
+      List.fold_left
+        (fun kept m ->
+          if m > 1 && List.for_all (Rns.coprime m) kept then m :: kept else kept)
+        [] candidates
+    in
+    let* values = flatten_l (List.map (fun m -> 0 -- (m - 1)) moduli) in
+    pure (List.map2 (fun modulus value -> { Rns.modulus; value }) moduli values))
+
+let agree_with_reference rs =
+  let r, m = crt_sum rs in
+  match (Rns.encode rs, Rns.encode_garner rs) with
+  | Ok (r1, m1), Ok (r2, m2) ->
+    Z.equal r r1 && Z.equal m m1 && Z.equal r r2 && Z.equal m m2
+  | _ -> false
+
 let prop_garner_agrees =
-  qtest "Garner's algorithm = direct CRT" gen_system (fun rs ->
-      match (Rns.encode rs, Rns.encode_garner rs) with
-      | Ok (r1, m1), Ok (r2, m2) -> Z.equal r1 r2 && Z.equal m1 m2
-      | _ -> false)
+  qtest "Garner's algorithm = direct CRT" gen_system agree_with_reference
+
+let prop_encode_matches_crt =
+  qtest ~count:500 "encode = encode_garner = direct CRT (past 4 limbs)"
+    gen_wide_system (fun rs ->
+      let _, m = crt_sum rs in
+      QCheck2.assume (Z.bit_length m > 4 * 31);
+      agree_with_reference rs)
+
+let test_encode_across_limb_base () =
+  (* 2^31 is [Nat.base] itself, the first modulus on the [Z] path *)
+  let rs =
+    [ residue (1 lsl 31) 12345; residue ((1 lsl 31) - 1) 77;
+      residue (Z.to_int_exn (Z.pow (Z.of_int 3) 39)) 1_000_000_007;
+      residue (Z.to_int_exn (Z.pow (Z.of_int 5) 26)) 42; residue 7 6; residue 11 0 ]
+  in
+  Alcotest.(check bool) "past 4 limbs" true
+    (Z.bit_length (snd (crt_sum rs)) > 4 * 31);
+  Alcotest.(check bool) "encode = garner = CRT" true (agree_with_reference rs);
+  let r, _ = Rns.encode_exn rs in
+  List.iter
+    (fun { Rns.modulus; value } ->
+      Alcotest.(check int) (Printf.sprintf "port at %d" modulus) value
+        (Rns.port r modulus))
+    rs
 
 let prop_extend_incremental =
   qtest "extend = re-encode from scratch" gen_system (fun rs ->
@@ -248,11 +310,13 @@ let () =
           Alcotest.test_case "port at invalid switch" `Quick test_port_invalid_switch;
           Alcotest.test_case "port at switch 1" `Quick test_port_switch_one;
           Alcotest.test_case "port at negative switch" `Quick test_port_negative_switch;
+          Alcotest.test_case "encode across the limb base" `Quick
+            test_encode_across_limb_base;
         ] );
       ( "properties",
         [
           prop_roundtrip; prop_range; prop_unique; prop_order_independent;
-          prop_garner_agrees; prop_extend_incremental; prop_mixed_radix_reconstructs;
+          prop_garner_agrees; prop_encode_matches_crt; prop_extend_incremental; prop_mixed_radix_reconstructs;
           prop_pairwise_coprime_check; prop_modulus_product;
           prop_port_fast_agrees;
         ] );
