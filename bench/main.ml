@@ -444,105 +444,6 @@ let pool_entries () =
     ("pool/table2-speedup-j4", j1 /. j4);
   ]
 
-(* --- sharded-simulator benchmarks ---
-
-   [netsim/engine-sharded-rN-ms] is wall-clock for one fixed coarse-grained
-   workload — random-walk traffic on an 8x8 torus whose 2 ms links make the
-   lookahead (and so the epoch) wide enough that each region executes many
-   events between barriers — simulated with N regions;
-   [netsim/engine-serial-ms] is the same workload on the historical
-   single-engine path.  Two derived gauges feed the core-count-aware gate:
-   [netsim/sharded-speedup-r4] (serial / r4, must reach 2x on a >= 4-core
-   host) and [netsim/sharded-r1-overhead] (r1 / serial, the price of the
-   partitioned structure when there is nothing to parallelise — healthy is
-   ~1.0, gated at 1.05).  [topo/cut-edges-ratio] records the partition
-   quality (boundary links / total links) of the r4 cut, a deterministic
-   function of the partitioner. *)
-
-let sharded_workload_graph () =
-  let w = 8 and h = 8 in
-  let b = Topo.Graph.Builder.create () in
-  let nodes = Array.init (w * h) (fun i -> Topo.Graph.Builder.add_node b (i + 1)) in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      let v = nodes.((y * w) + x) in
-      ignore
-        (Topo.Graph.Builder.add_link b ~delay_s:2e-3 v
-           nodes.((y * w) + ((x + 1) mod w)));
-      ignore
-        (Topo.Graph.Builder.add_link b ~delay_s:2e-3 v
-           nodes.((((y + 1) mod h) * w) + x))
-    done
-  done;
-  Topo.Graph.Builder.finish b
-
-(* ~0 regions selects the serial engine.  Packets random-walk [max_hops]
-   hops and die; ports are spread by uid so the torus loads evenly. *)
-let sharded_workload_s ~regions =
-  let g = sharded_workload_graph () in
-  let net =
-    if regions = 0 then
-      Netsim.Net.create ~graph:g ~engine:(Netsim.Engine.create ()) ()
-    else
-      Netsim.Net.create_partitioned ~graph:g
-        ~partition:(Topo.Partition.make g ~regions)
-        ()
-  in
-  let max_hops = 200 in
-  Topo.Graph.iter_nodes g ~f:(fun v ->
-      Netsim.Net.set_node_handler net v (fun net v (p : Netsim.Packet.t) ~in_port:_ ->
-          let hops = Netsim.Packet.hops p + 1 in
-          Netsim.Packet.set_hops p hops;
-          if hops >= max_hops then Netsim.Net.free net p
-          else
-            let port =
-              (Netsim.Packet.uid p + hops) mod Topo.Graph.degree g v
-            in
-            Netsim.Net.send net ~from_node:v ~port p));
-  Topo.Graph.iter_nodes g ~f:(fun v ->
-      Netsim.Net.schedule_at_node net v ~at:1e-6 (fun () ->
-          for _ = 1 to 10 do
-            let p =
-              Netsim.Net.alloc net ~src:v ~dst:v ~size_bytes:512
-                ~route_id:Bignum.Z.one Netsim.Packet.Raw
-            in
-            Netsim.Net.inject net ~at:v p
-          done));
-  wall (fun () -> Netsim.Net.run_until net 0.45)
-
-let sharded_entries () =
-  (* Round-robin over the configurations (rather than best-of-3 per
-     config back to back) so slow drift in machine state — GC heap
-     growth, thermal throttle — lands on every config equally; the
-     r1-overhead gate watches a 5% band, which sequential measurement
-     visibly biases. *)
-  let configs = [| 0; 1; 2; 4 |] in
-  let best = Array.map (fun _ -> infinity) configs in
-  for _round = 1 to 3 do
-    Array.iteri
-      (fun i regions ->
-        let s = sharded_workload_s ~regions in
-        if s < best.(i) then best.(i) <- s)
-      configs
-  done;
-  let serial = best.(0) *. 1e3 in
-  let r1 = best.(1) *. 1e3 in
-  let r2 = best.(2) *. 1e3 in
-  let r4 = best.(3) *. 1e3 in
-  let cut =
-    (Topo.Partition.make (sharded_workload_graph ()) ~regions:4)
-      .Topo.Partition.cut_ratio
-  in
-  [
-    ("netsim/engine-serial-ms", serial);
-    ("netsim/engine-sharded-r1-ms", r1);
-    ("netsim/engine-sharded-r2-ms", r2);
-    ("netsim/engine-sharded-r4-ms", r4);
-    ("netsim/sharded-speedup-r4", serial /. r4);
-    ("netsim/sharded-r1-overhead", r1 /. serial);
-    ("topo/cut-edges-ratio", cut);
-  ]
-
 (* --- serving-layer benchmarks ---
 
    The svc gauges come in two kinds.  Wall-clock: [svc/requests-per-sec-jN]
@@ -809,46 +710,6 @@ let check_entry (key, baseline) fresh =
               key now cores)
        | _ -> None)
     else if starts_with ~prefix:"pool/" key then None
-    else if key = "netsim/sharded-speedup-r4" then
-      (* The sharded-path gate: on a host with >= 4 cores the 4-region
-         simulation of the coarse-grained workload must actually run in
-         parallel.  2x is the floor (a healthy run shows ~3x); a
-         serialised barrier loop measures ~1x and fails.  On narrow hosts
-         the gauge is recorded but not enforced. *)
-      (match List.assoc_opt "pool/cores" fresh with
-       | Some cores when cores >= 4.0 && now < 2.0 ->
-         Some
-           (Printf.sprintf
-              "%s: %.2fx (< 2x on a %.0f-core host; sharded simulation no \
-               longer scales)"
-              key now cores)
-       | _ -> None)
-    else if key = "netsim/sharded-r1-overhead" then
-      (* A 1-region partition is structurally the serial simulator; its
-         wall-clock may cost at most 5% over the single-engine path.
-         Enforced alongside the speedup gate (>= 4 cores), where the
-         best-of-3 runs are quiet enough for a 5% band. *)
-      (match List.assoc_opt "pool/cores" fresh with
-       | Some cores when cores >= 4.0 && now > 1.05 ->
-         Some
-           (Printf.sprintf
-              "%s: %.3fx on a %.0f-core host (single-region sharding costs \
-               more than 5%% over the serial engine)"
-              key now cores)
-       | _ -> None)
-    else if
-      key = "netsim/engine-serial-ms"
-      || starts_with ~prefix:"netsim/engine-sharded-" key
-    then None (* machine-shape wall-clocks behind the two gauges above *)
-    else if key = "topo/cut-edges-ratio" then
-      (* Deterministic in the partitioner and the fixed bench torus: a
-         jump means partition quality changed, not machine noise. *)
-      if now > baseline +. 0.10 then
-        Some
-          (Printf.sprintf
-             "%s: %.3f -> %.3f (partition cut grew by more than 0.10)" key
-             baseline now)
-      else None
     else if key = "verify/failure-sets-per-sec-j4" then
       (* machine-shape wall-clock (depends on core count); the serial j1
          throughput is the gated number *)
@@ -932,8 +793,6 @@ let measure_all ~quota ~packets =
   Printf.printf "steady-state forward path: %.3f minor words/packet\n" words;
   let pool = pool_entries () in
   List.iter (fun (k, v) -> Printf.printf "%s: %.6g\n" k v) pool;
-  let sharded = sharded_entries () in
-  List.iter (fun (k, v) -> Printf.printf "%s: %.6g\n" k v) sharded;
   let svc = svc_entries () in
   List.iter (fun (k, v) -> Printf.printf "%s: %.6g\n" k v) svc;
   let verify = verify_entries () in
@@ -946,7 +805,7 @@ let measure_all ~quota ~packets =
   kernels
   @ [ ("netsim/packets-per-sec", pps);
       ("gc/forward-minor-words-per-packet", words) ]
-  @ pool @ sharded @ svc @ verify @ scen @ obs
+  @ pool @ svc @ verify @ scen @ obs
 
 let run_experiments () =
   let profile = Experiments.Profile.from_env () in

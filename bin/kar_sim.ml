@@ -59,9 +59,8 @@ let print_stats g net =
   done
 
 let run topo src_label dst_label policy fail fail_at fail_for scenario duration
-    protect_bits seed regions jobs trace_file trace_format stats metrics
-    metrics_prom check_invariants =
-  Option.iter Util.Pool.set_jobs jobs;
+    protect_bits seed trace_file trace_format stats metrics metrics_prom
+    check_invariants =
   match Topo.Serial.load topo with
   | Error e -> `Error (false, Format.asprintf "%s: %a" topo Topo.Serial.pp_error e)
   | Ok g ->
@@ -83,22 +82,7 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
             (List.map (fun v -> string_of_int (Graph.label g v)) plan.Kar.Route.core_path))
          plan.Kar.Route.bit_length
          (List.length plan.Kar.Route.residues);
-       (* simulate: --regions 0 keeps the historical single-engine path;
-          any positive count goes through the partitioned (sharded)
-          simulator, which produces the byte-identical trace. *)
-       let net =
-         if regions = 0 then
-           let engine = Netsim.Engine.create () in
-           Netsim.Net.create ~graph:g ~engine ()
-         else begin
-           let partition = Topo.Partition.make g ~regions in
-           Printf.printf
-             "sharded: %d regions, %d cut links, lookahead %g s\n" regions
-             (List.length partition.Topo.Partition.cut_links)
-             partition.Topo.Partition.lookahead;
-           Netsim.Net.create_partitioned ~graph:g ~partition ()
-         end
-       in
+       let net = Netsim.Net.create ~graph:g ~engine:(Netsim.Engine.create ()) () in
        (* Flight recorder: on for --trace, --stats and/or
           --check-invariants (the per-switch tallies --stats prints are
           only maintained while a recorder is attached).  The protected
@@ -152,9 +136,7 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
              Printf.eprintf "warning: SW%d-SW%d is not a link; no failure scheduled\n" a b)
         | None -> ());
        (* --scenario: a generated failure schedule rides alongside any
-          --fail link.  The event stream is armed as admin actions, which
-          apply at sharded-region barriers, so solo and --regions R runs
-          see byte-identical topology churn. *)
+          --fail link. *)
        (match scenario with
         | None -> ()
         | Some s ->
@@ -177,9 +159,6 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
           Printf.printf "scenario: %d topology events over %g s\n"
             (List.length events) duration);
        Netsim.Net.run_until net duration;
-       (* The recorder may hold a buffered tie group at the cut-off;
-          settle it before any sink output is consumed. *)
-       Option.iter Trace.Recorder.flush recorder;
        Tcp.Flow.stop flow;
        let series = Tcp.Sampler.series_mbps sampler ~until:duration in
        Printf.printf "goodput: %s\n" (Util.Texttab.spark series);
@@ -330,8 +309,7 @@ let sim_term =
                  $(b,flap:links=N,period=S,duty=D,seed=K), \
                  $(b,regional:groups=N,mtbf=S,mttr=S,seed=K), \
                  $(b,adversarial:k=N,period=S,hold=S,level=L) or \
-                 $(b,events:fail\\@T=A-B,...).  Applied at region barriers, \
-                 so results are identical at any $(b,--regions)/$(b,-j).")
+                 $(b,events:fail\\@T=A-B,...).")
   in
   let duration =
     Arg.(value & opt float 9.0 & info [ "duration" ] ~docv:"S" ~doc:"Total simulated time.")
@@ -342,19 +320,6 @@ let sim_term =
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Deflection PRNG seed.")
-  in
-  let regions =
-    Arg.(value & opt int 0 & info [ "regions" ] ~docv:"R"
-           ~doc:"Partition the network into $(docv) regions and simulate \
-                 them in parallel (conservative synchronisation; the trace \
-                 and flow results are byte-identical to a serial run).  \
-                 0 (the default) keeps the single-engine simulator.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domains to run regions on (clamped to 1-16).  Defaults to \
-                 $(b,KAR_JOBS) or the machine's core count; never more \
-                 domains than regions are used.")
   in
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -394,8 +359,8 @@ let sim_term =
   Term.(
     ret
       (const run $ topo $ src $ dst $ policy $ fail $ fail_at $ fail_for
-      $ scenario $ duration $ protect_bits $ seed $ regions $ jobs $ trace
-      $ trace_format $ stats $ metrics $ metrics_prom $ check_invariants))
+      $ scenario $ duration $ protect_bits $ seed $ trace $ trace_format
+      $ stats $ metrics $ metrics_prom $ check_invariants))
 
 let convert_cmd =
   let input =

@@ -63,28 +63,20 @@ let failover_detect_s = 0.01
 
 type Packet.payload += Probe of int
 
-let run_data sc ~events ~technique ?(regions = 0) ?recorder ~rate_pps
-    ~duration_s ~seed () =
+let run_data sc ~events ~technique ?recorder ~rate_pps ~duration_s ~seed () =
   if rate_pps <= 0 then invalid_arg "Churn.run_data: rate must be positive";
   let g = sc.Nets.graph in
-  let net =
-    if regions <= 1 then Net.create ~graph:g ~engine:(Engine.create ()) ()
-    else
-      Net.create_partitioned ~graph:g
-        ~partition:(Topo.Partition.make g ~regions)
-        ()
-  in
+  let net = Net.create ~graph:g ~engine:(Engine.create ()) () in
   Net.set_recorder net recorder;
   let ingress = sc.Nets.ingress and egress = sc.Nets.egress in
   (* The current route ID the ingress stamps — a cell the reroute / 1+1
-     reactions update from the admin (barrier) context. *)
+     reactions update from admin events. *)
   let current = ref Z.zero in
   let reencode_of v =
     match technique with
     | Kar ->
-      (* precomputed, immutable: stranded-packet replans from every edge
-         toward the egress, so sharded edge handlers share no mutable
-         controller state *)
+      (* precomputed once per edge: the stranded-packet replan toward the
+         egress *)
       let fresh =
         if v = egress then None
         else
@@ -169,7 +161,6 @@ let run_data sc ~events ~technique ?(regions = 0) ?recorder ~rate_pps
   in
   Net.schedule_at_node net ingress ~at:interval (emit interval);
   Net.run_until net (duration_s +. 2.0);
-  Option.iter Trace.Recorder.flush recorder;
   let ns = Net.stats net in
   {
     sent = !sent;

@@ -39,14 +39,12 @@ type data_result = {
 }
 
 (** [run_data sc ~events ~technique ~rate_pps ~duration_s ~seed ()] — one
-    CBR run under the event stream.  [regions > 1] runs the sharded
-    simulator (identical results, exercised by the determinism tests);
-    [recorder] attaches a flight recorder (flushed before return). *)
+    CBR run under the event stream.  [recorder] attaches a flight
+    recorder. *)
 val run_data :
   Topo.Nets.scenario ->
   events:Kar_scenario.Event.t list ->
   technique:technique ->
-  ?regions:int ->
   ?recorder:Trace.Recorder.t ->
   rate_pps:int ->
   duration_s:float ->

@@ -7,15 +7,10 @@ type t = {
   mutable done_count : int;
   mutable cancelled_in_heap : int;
   mutable heap_peak : int;
-  mutable cur_sched : float;
-  mutable cur_sched2 : float;
 }
 
 and event = {
   time : float;
-  sched : float; (* clock at scheduling time: the determinism key *)
-  sched2 : float; (* the scheduling event's own [sched] — one causal level
-                     deeper, for ties where [sched] alone is ambiguous *)
   seq : int;
   fn : unit -> unit;
   mutable cancelled : bool;
@@ -33,26 +28,12 @@ let create () =
     done_count = 0;
     cancelled_in_heap = 0;
     heap_peak = 0;
-    cur_sched = 0.0;
-    cur_sched2 = 0.0;
   }
 
 let now e = e.clock
 
-(* Events fire in (time, sched, seq) order.  Within one engine the clock
-   never regresses and everything is scheduled at the current clock, so
-   [sched] is monotone in [seq] and this order equals the classic
-   (time, seq) FIFO.  The extra key matters when several region engines
-   are merged: ties between a locally-scheduled event and a
-   cross-region arrival then resolve by *scheduling time* — the same
-   order the serial engine's global seq would have produced. *)
-let before a b =
-  a.time < b.time
-  || (a.time = b.time
-      && (a.sched < b.sched
-          || (a.sched = b.sched
-              && (a.sched2 < b.sched2
-                  || (a.sched2 = b.sched2 && a.seq < b.seq)))))
+(* Events fire in (time, seq) order: FIFO among equal timestamps. *)
+let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let swap e i j =
   let tmp = e.heap.(i) in
@@ -100,20 +81,17 @@ let pop e =
     Some top
   end
 
-let schedule_keyed e ~time ~sched ~sched2 f =
-  let ev =
-    { time; sched; sched2; seq = e.next_seq; fn = f; cancelled = false;
-      queued = true; owner = e }
-  in
-  e.next_seq <- e.next_seq + 1;
-  push e ev;
-  ev
-
 let schedule_at e t f =
   if t < e.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now (%g)" t e.clock);
-  schedule_keyed e ~time:t ~sched:e.clock ~sched2:e.cur_sched f
+  let ev =
+    { time = t; seq = e.next_seq; fn = f; cancelled = false; queued = true;
+      owner = e }
+  in
+  e.next_seq <- e.next_seq + 1;
+  push e ev;
+  ev
 
 let schedule_in e dt f =
   if dt < 0.0 then invalid_arg "Engine.schedule_in: negative delay";
@@ -160,8 +138,6 @@ let step e =
   | Some ev ->
     if not ev.cancelled then begin
       e.clock <- ev.time;
-      e.cur_sched <- ev.sched;
-      e.cur_sched2 <- ev.sched2;
       e.done_count <- e.done_count + 1;
       ev.fn ()
     end;
@@ -184,34 +160,6 @@ let run_until e t =
       else ignore (step e)
   done;
   if not e.stopped then e.clock <- max e.clock t
-
-(* Epoch half of [run_until]: strictly-before the horizon, and the clock
-   is left on the last event run — the caller advances it explicitly
-   with [advance_clock] once the whole barrier has committed. *)
-let run_before e t =
-  let continue = ref true in
-  while !continue do
-    match e.size with
-    | 0 -> continue := false
-    | _ ->
-      if e.heap.(0).time >= t then continue := false
-      else ignore (step e)
-  done
-
-let next_time e =
-  (* Skim cancelled tops so an all-cancelled heap reads as idle. *)
-  while e.size > 0 && e.heap.(0).cancelled do
-    ignore (pop e)
-  done;
-  if e.size = 0 then None else Some e.heap.(0).time
-
-let advance_clock e t = if t > e.clock then e.clock <- t
-
-let sched_now e = e.cur_sched
-let sched2_now e = e.cur_sched2
-let set_context_sched e ~sched ~sched2 =
-  e.cur_sched <- sched;
-  e.cur_sched2 <- sched2
 
 let stop e = e.stopped <- true
 

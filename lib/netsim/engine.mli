@@ -13,28 +13,13 @@ val create : unit -> t
 (** [now e] is the current virtual time in seconds. *)
 val now : t -> float
 
-(** [schedule_at e t f] runs [f] at absolute time [t].
+(** [schedule_at e t f] runs [f] at absolute time [t].  Events fire in
+    [(time, insertion)] order: FIFO among equal timestamps.
     @raise Invalid_argument if [t] is in the past. *)
 val schedule_at : t -> float -> (unit -> unit) -> event
 
 (** [schedule_in e dt f] runs [f] after [dt >= 0] seconds. *)
 val schedule_in : t -> float -> (unit -> unit) -> event
-
-(** [schedule_keyed e ~time ~sched ~sched2 f] schedules [f] at [time]
-    with an explicit determinism key.  Events fire in
-    [(time, sched, sched2, seq)] order: [sched] is the virtual time the
-    event was scheduled at and [sched2] the scheduling event's own
-    [sched] — one causal level deeper, disambiguating ties between
-    lock-stepped streams.  {!schedule_at} uses
-    [sched = now e, sched2 = sched_now e]; on a single engine both extra
-    keys are monotone in [seq], so the order reduces to classic
-    (time, seq) FIFO.  The sharded net uses explicit keys so a
-    cross-region arrival sorts against local events exactly where the
-    serial engine would have fired it.  No past-time check — the caller
-    (the barrier loop) guarantees [time] is beyond every region's
-    committed horizon. *)
-val schedule_keyed :
-  t -> time:float -> sched:float -> sched2:float -> (unit -> unit) -> event
 
 (** [cancel ev] prevents a pending event from firing (idempotent; events
     that already ran are unaffected).  Cancelled events are purged from the
@@ -49,36 +34,6 @@ val run : t -> unit
 (** [run_until e t] processes events with timestamp [<= t], then sets the
     clock to [t]. *)
 val run_until : t -> float -> unit
-
-(** [run_before e t] processes events with timestamp strictly [< t] and
-    leaves the clock on the last event run: the epoch half of
-    {!run_until}, letting a barrier inject time-[t] events before the
-    epoch containing [t] executes.  Use {!advance_clock} to commit the
-    horizon afterwards. *)
-val run_before : t -> float -> unit
-
-(** Timestamp of the next live event, if any (cancelled events are
-    skimmed).  Lets the sharded scheduler fast-forward idle regions. *)
-val next_time : t -> float option
-
-(** [advance_clock e t] moves the clock forward to [t] (never backward). *)
-val advance_clock : t -> float -> unit
-
-(** Determinism key ([sched]) of the event currently executing — the
-    virtual time at which it was scheduled.  Meaningful only inside a
-    callback; region trace buffers capture it to merge-sort records. *)
-val sched_now : t -> float
-
-(** Second-level key ([sched2]) of the event currently executing. *)
-val sched2_now : t -> float
-
-(** [set_context_sched e ~sched ~sched2] overrides the executing-context
-    keys: subsequent {!schedule_at}/{!schedule_in} calls hand out
-    [sched2 = sched], and {!sched_now}/{!sched2_now} read the pair.  The
-    sharded barrier sets it before running an admin action, so events the
-    action schedules (and records it emits) carry the key the serial
-    engine would have given them. *)
-val set_context_sched : t -> sched:float -> sched2:float -> unit
 
 (** [stop e] makes {!run} return after the current callback. *)
 val stop : t -> unit

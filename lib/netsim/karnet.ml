@@ -58,7 +58,7 @@ let install_switches ?plan net ~policy ~seed =
               | Trace.Event.Deflect _ -> Net.note_deflect net v
               | Trace.Event.Drive -> Net.note_drive net v
               | _ -> ());
-             Net.record_decision net ~switch:switch_id ~in_port ~out_port:port
+             Net.record_event net ~switch:switch_id ~in_port ~out_port:port
                packet action
            | _ -> ());
           if deflected && not was_deflected then begin
@@ -105,7 +105,7 @@ let install_edge net node ?(reencode_delay_s = 1e-3) ~reencode ~receive () =
           (Engine.schedule_in (Net.engine net) reencode_delay_s (fun () ->
                (* Recorded at actual send time, so the event's place in the
                   trace matches its place in the FIFO order. *)
-               Net.record_decision net
+               Net.record_event net
                  ~switch:(Graph.label (Net.graph net) node)
                  ~in_port:(-1) ~out_port:0 packet Trace.Event.Reencode;
                Net.send net ~from_node:node ~port:0 packet))

@@ -59,59 +59,6 @@ type channel = {
   mutable queued_bytes : int;
   mutable wake_scheduled : bool;
   mutable epoch : int; (* bumped on failure: invalidates in-flight events *)
-  mutable owner_rid : int; (* region of the transmitting endpoint *)
-  mutable x_cut : bool; (* receiving endpoint lives in another region *)
-}
-
-(* A packet crossing a region boundary: the flat buffer itself changes
-   hands (zero-copy), together with the exact (time, sched) key the serial
-   engine would have given its delivery event, so the receiving region can
-   slot it into its timeline deterministically. *)
-type handoff = {
-  h_time : float;
-  h_sched : float;
-  h_sched2 : float;
-  h_src : int; (* sending region *)
-  h_ctr : int; (* per-region monotone counter: stable drain order *)
-  h_epoch : int;
-  h_ch : channel;
-  h_packet : Packet.t;
-}
-
-(* A trace record buffered inside a region during an epoch.  At the
-   barrier, all regions' buffers merge-sort on (vtime, sched, rid, ctr)
-   and replay into the main recorder — (rid, ctr) preserves each region's
-   exact engine order, so intra-region sequences (e.g. the FIFO drops of a
-   failing queue) reproduce the serial trace byte for byte. *)
-type tev = {
-  tv_vtime : float;
-  tv_sched : float;
-  tv_sched2 : float;
-  tv_rid : int;
-  tv_ctr : int;
-  tv_uid : int;
-  tv_switch : int;
-  tv_in : int;
-  tv_out : int;
-  tv_ttl : int;
-  tv_action : Trace.Event.action;
-}
-
-(* Everything a region owns privately: its event heap, metrics shard,
-   packet pool, trace buffer and one outbox per peer region.  In a solo
-   net there is exactly one region and its engine/registry/counters/pool
-   are the net's own (no indirection cost, bit-identical behaviour). *)
-type region = {
-  rid : int;
-  r_engine : Engine.t;
-  r_registry : Registry.t;
-  r_counters : counters;
-  r_pool : Packet.Pool.t;
-  mutable r_tbuf : tev list; (* newest first *)
-  mutable r_tctr : int;
-  mutable r_octr : int;
-  outboxes : handoff list array; (* newest first, indexed by dst region *)
-  mutable r_mark : int; (* processed watermark for stall accounting *)
 }
 
 type t = {
@@ -125,9 +72,10 @@ type t = {
   out_channel : channel array array; (* out_channel.(node).(port) *)
   handlers : handler option array;
   port_cache : Kar.Policy.port_state array array;
-  registry : Registry.t; (* the main (merged) registry *)
-  counters : counters; (* main counter handles *)
-  pool : Packet.Pool.t; (* main pool (the only pool when solo) *)
+  engine : Engine.t;
+  registry : Registry.t;
+  counters : counters;
+  pool : Packet.Pool.t;
   mutable next_uid : int; (* the [fresh_uid] stream *)
   uid_ctr : int array; (* per-node [alloc] uid streams *)
   (* Observability: [None] recorder (the default) keeps the hot path
@@ -137,34 +85,9 @@ type t = {
   switch_deflections : int array; (* per node *)
   switch_drives : int array; (* per node *)
   link_queue_drops : int array; (* per channel (2*link+dir) *)
-  (* Sharding state.  [solo] nets (legacy [create], or a 1-region
-     partition) never touch any of it beyond [regions.(0)]. *)
-  regions : region array;
-  region_of_node : int array;
-  solo : bool;
-  lookahead : float; (* min cut-link delay; [infinity] when solo *)
-  mutable in_admin : bool; (* true between epochs: barrier context *)
-  mutable admin : (float * float * float * int * (unit -> unit)) list;
-      (* (time, sched, sched2, seq, fn), sorted *)
-  mutable admin_seq : int;
-  c_epochs : Registry.counter;
-  c_boundary : Registry.counter;
-  c_stalls : Registry.counter;
-  g_cut_ppm : Registry.gauge;
-  mutable spans : Kar_obs.Span.t option;
-  mutable epoch_idx : int;
 }
 
 and handler = t -> Graph.node -> Packet.t -> in_port:int -> unit
-
-(* Which region this domain is currently simulating.  Worker domains set
-   it before running a region's epoch; the default 0 makes every solo net
-   (and all setup-time code) resolve to the main context. *)
-let cur_rid : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let[@inline] ctx net =
-  if net.solo then net.regions.(0)
-  else net.regions.(Domain.DLS.get cur_rid)
 
 let make_counters r =
   (* explicit registration order: it is the snapshot column order *)
@@ -191,15 +114,6 @@ let make_counters r =
     g_queue_peak;
   }
 
-(* Sharding metrics live on the main registry only (the barrier loop is
-   single-threaded); they read zero on solo nets but keep the snapshot
-   schema identical across [--regions] values. *)
-let make_shard_metrics r =
-  ( Registry.counter r "netsim/epochs",
-    Registry.counter r "netsim/region-boundary-packets",
-    Registry.counter r "netsim/region-stalls",
-    Registry.gauge r "topo/cut-edges-ppm" )
-
 let build_channels graph =
   let n_links = Graph.n_links graph in
   let channel_of link dir =
@@ -215,8 +129,6 @@ let build_channels graph =
       queued_bytes = 0;
       wake_scheduled = false;
       epoch = 0;
-      owner_rid = 0;
-      x_cut = false;
     }
   in
   let channels =
@@ -253,21 +165,6 @@ let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
   Registry.probe registry "engine/heap-peak" (fun () -> Engine.heap_peak engine);
   let counters = make_counters registry in
   let pool = Packet.Pool.create ~registry () in
-  let c_epochs, c_boundary, c_stalls, g_cut_ppm = make_shard_metrics registry in
-  let region =
-    {
-      rid = 0;
-      r_engine = engine;
-      r_registry = registry;
-      r_counters = counters;
-      r_pool = pool;
-      r_tbuf = [];
-      r_tctr = 0;
-      r_octr = 0;
-      outboxes = [||];
-      r_mark = 0;
-    }
-  in
   {
     graph;
     queue_capacity_bytes;
@@ -279,6 +176,7 @@ let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     out_channel;
     handlers = Array.make n_nodes None;
     port_cache = build_port_cache graph;
+    engine;
     registry;
     counters;
     pool;
@@ -288,147 +186,11 @@ let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     switch_deflections = Array.make n_nodes 0;
     switch_drives = Array.make n_nodes 0;
     link_queue_drops = Array.make (2 * n_links) 0;
-    regions = [| region |];
-    region_of_node = Array.make n_nodes 0;
-    solo = true;
-    lookahead = infinity;
-    in_admin = false;
-    admin = [];
-    admin_seq = 0;
-    c_epochs;
-    c_boundary;
-    c_stalls;
-    g_cut_ppm;
-    spans = None;
-    epoch_idx = 0;
   }
 
-let create_partitioned ~graph ~partition ?registry ?queue_capacity_bytes ?ttl
-    ?detection_delay_s () =
-  let p : Topo.Partition.t = partition in
-  if Array.length p.Topo.Partition.region_of <> Graph.n_nodes graph then
-    invalid_arg "Net.create_partitioned: partition does not match the graph";
-  if p.Topo.Partition.n_regions = 1 then begin
-    (* One region degenerates to the solo structure: exactly the serial
-       net (same engine path, same pool, same metrics cells). *)
-    let net =
-      create ~graph ~engine:(Engine.create ()) ?registry
-        ?queue_capacity_bytes ?ttl ?detection_delay_s ()
-    in
-    Registry.set net.g_cut_ppm
-      (int_of_float (p.Topo.Partition.cut_ratio *. 1e6));
-    net
-  end
-  else begin
-    (* Conservative simulation needs strictly positive lookahead: a cut
-       through a zero-delay link would force zero-width epochs and the
-       barrier would never advance.  Reject it up front. *)
-    if not (p.Topo.Partition.lookahead > 0.0) then
-      invalid_arg
-        (Printf.sprintf
-           "Net.create_partitioned: region cut crosses %d zero-delay \
-            link(s); lookahead would be %g — repartition or give cut \
-            links a positive delay"
-           (List.length
-              (List.filter
-                 (fun id -> (Graph.link graph id).Graph.delay_s <= 0.0)
-                 p.Topo.Partition.cut_links))
-           p.Topo.Partition.lookahead);
-    let n_regions = p.Topo.Partition.n_regions in
-    let region_of_node = Array.copy p.Topo.Partition.region_of in
-    let n_links = Graph.n_links graph in
-    let n_nodes = Graph.n_nodes graph in
-    let channels, out_channel = build_channels graph in
-    (* channel ownership and cut marking *)
-    Array.iter
-      (fun chans ->
-        let link = Graph.link graph chans.(0).link_id in
-        let r0 = region_of_node.(link.Graph.ep0.Graph.node) in
-        let r1 = region_of_node.(link.Graph.ep1.Graph.node) in
-        chans.(0).owner_rid <- r0;
-        chans.(1).owner_rid <- r1;
-        chans.(0).x_cut <- r0 <> r1;
-        chans.(1).x_cut <- r0 <> r1)
-      channels;
-    let registry =
-      match registry with Some r -> r | None -> Registry.create ()
-    in
-    let engines = Array.init n_regions (fun _ -> Engine.create ()) in
-    Registry.probe registry "engine/events" (fun () ->
-        Array.fold_left (fun acc e -> acc + Engine.processed e) 0 engines);
-    Registry.probe registry "engine/pending" (fun () ->
-        Array.fold_left (fun acc e -> acc + Engine.pending e) 0 engines);
-    Registry.probe registry "engine/heap-peak" (fun () ->
-        Array.fold_left (fun acc e -> max acc (Engine.heap_peak e)) 0 engines);
-    let counters = make_counters registry in
-    let pool = Packet.Pool.create ~registry () in
-    let c_epochs, c_boundary, c_stalls, g_cut_ppm =
-      make_shard_metrics registry
-    in
-    Registry.set g_cut_ppm (int_of_float (p.Topo.Partition.cut_ratio *. 1e6));
-    let regions =
-      Array.init n_regions (fun rid ->
-          let r_registry = Registry.create () in
-          let r_counters = make_counters r_registry in
-          let r_pool = Packet.Pool.create ~registry:r_registry () in
-          {
-            rid;
-            r_engine = engines.(rid);
-            r_registry;
-            r_counters;
-            r_pool;
-            r_tbuf = [];
-            r_tctr = 0;
-            r_octr = 0;
-            outboxes = Array.make n_regions [];
-            r_mark = 0;
-          })
-    in
-    {
-      graph;
-      queue_capacity_bytes =
-        (match queue_capacity_bytes with Some b -> b | None -> 1_048_576);
-      ttl = (match ttl with Some v -> v | None -> 128);
-      detection_delay_s =
-        (match detection_delay_s with Some d -> d | None -> 0.0);
-      up = Array.make n_links true;
-      busy_until = Array.make (2 * n_links) 0.0;
-      channels;
-      out_channel;
-      handlers = Array.make n_nodes None;
-      port_cache = build_port_cache graph;
-      registry;
-      counters;
-      pool;
-      next_uid = 0;
-      uid_ctr = Array.make n_nodes 0;
-      recorder = None;
-      switch_deflections = Array.make n_nodes 0;
-      switch_drives = Array.make n_nodes 0;
-      link_queue_drops = Array.make (2 * n_links) 0;
-      regions;
-      region_of_node;
-      solo = false;
-      lookahead = p.Topo.Partition.lookahead;
-      in_admin = false;
-      admin = [];
-      admin_seq = 0;
-      c_epochs;
-      c_boundary;
-      c_stalls;
-      g_cut_ppm;
-      spans = None;
-      epoch_idx = 0;
-    }
-  end
-
 let graph net = net.graph
-let engine net = (ctx net).r_engine
+let engine net = net.engine
 let registry net = net.registry
-let n_regions net = Array.length net.regions
-let region_of net node = net.region_of_node.(node)
-let lookahead net = net.lookahead
-let set_spans net s = net.spans <- s
 
 let stats net =
   let c = net.counters in
@@ -466,45 +228,16 @@ let record_event net ~switch ~in_port ~out_port (packet : Packet.t) action =
   match net.recorder with
   | None -> ()
   | Some r ->
-    let rg = ctx net in
-    if net.solo || net.in_admin then
-      (* Solo nets record straight through (the recorder canonicalises
-         same-instant tie groups); admin records happen at a barrier,
-         after every region's buffer below the barrier time has been
-         flushed, with the admin action's own key. *)
-      Trace.Recorder.record r
-        ~key:(Engine.sched_now rg.r_engine, Engine.sched2_now rg.r_engine)
-        ~vtime:(Engine.now rg.r_engine) ~uid:(Packet.uid packet) ~switch
-        ~in_port ~out_port
-        ~ttl:(net.ttl - Packet.hops packet)
-        action
-    else begin
-      rg.r_tbuf <-
-        {
-          tv_vtime = Engine.now rg.r_engine;
-          tv_sched = Engine.sched_now rg.r_engine;
-          tv_sched2 = Engine.sched2_now rg.r_engine;
-          tv_rid = rg.rid;
-          tv_ctr = rg.r_tctr;
-          tv_uid = Packet.uid packet;
-          tv_switch = switch;
-          tv_in = in_port;
-          tv_out = out_port;
-          tv_ttl = net.ttl - Packet.hops packet;
-          tv_action = action;
-        }
-        :: rg.r_tbuf;
-      rg.r_tctr <- rg.r_tctr + 1
-    end
-
-let record_decision = record_event
+    Trace.Recorder.record r ~vtime:(Engine.now net.engine)
+      ~uid:(Packet.uid packet) ~switch ~in_port ~out_port
+      ~ttl:(net.ttl - Packet.hops packet)
+      action
 
 (* Drops are terminal: the packet goes back to the pool (a no-op for
    unpooled handles), so every loss path recycles its buffer. *)
 let drop ?at ?(in_port = -1) net (packet : Packet.t) reason =
-  let rg = ctx net in
   Log.debug (fun m ->
-      m "t=%.6f drop %a (%s)" (Engine.now rg.r_engine) Packet.pp packet
+      m "t=%.6f drop %a (%s)" (Engine.now net.engine) Packet.pp packet
         (match reason with
          | Link_down -> "link down"
          | Queue_full -> "queue full"
@@ -514,23 +247,23 @@ let drop ?at ?(in_port = -1) net (packet : Packet.t) reason =
      let switch = match at with Some v -> Graph.label net.graph v | None -> -1 in
      record_event net ~switch ~in_port ~out_port:(-1) packet
        (Trace.Event.Drop (reason_slug reason)));
-  let c = rg.r_counters in
+  let c = net.counters in
   (match reason with
    | Link_down -> Registry.incr c.c_drop_link_down
    | Queue_full -> Registry.incr c.c_drop_queue_full
    | No_route -> Registry.incr c.c_drop_no_route
    | Ttl_exceeded -> Registry.incr c.c_drop_ttl);
-  Packet.Pool.release rg.r_pool packet
+  Packet.Pool.release net.pool packet
 
 let delivered ?(in_port = -1) net (packet : Packet.t) =
   record_event net
     ~switch:(Graph.label net.graph (Packet.dst packet))
     ~in_port ~out_port:(-1) packet Trace.Event.Deliver;
-  Registry.incr (ctx net).r_counters.c_delivered
+  Registry.incr net.counters.c_delivered
 
-let count_deflection net = Registry.incr (ctx net).r_counters.c_deflections
-let count_reencode net = Registry.incr (ctx net).r_counters.c_reencodes
-let count_hop net = Registry.incr (ctx net).r_counters.c_switch_hops
+let count_deflection net = Registry.incr net.counters.c_deflections
+let count_reencode net = Registry.incr net.counters.c_reencodes
+let count_hop net = Registry.incr net.counters.c_switch_hops
 
 let set_node_handler net node h = net.handlers.(node) <- Some h
 
@@ -541,35 +274,22 @@ let fresh_uid net =
 
 let link_up net id = net.up.(id)
 
-(* Pooled packets draw their uid from a per-source-node stream
-   ([k * n_nodes + node]): the k-th allocation at a node gets the same uid
-   at any region count, because each node's allocation sequence is a
-   function of its own local timeline only.  A single global stream would
-   depend on the global interleaving of allocations — exactly what a
-   sharded run does not reproduce. *)
+(* Pooled packets draw their uid from a per-source-node stream: the k-th
+   allocation at [node] gets uid [k * n_nodes + node].  Committed trace
+   fixtures record these uids, so the numbering is part of the output
+   format. *)
 let alloc net ~src ~dst ~size_bytes ~route_id payload =
-  let rg = ctx net in
-  let p = Packet.Pool.acquire rg.r_pool in
+  let p = Packet.Pool.acquire net.pool in
   let k = net.uid_ctr.(src) in
   net.uid_ctr.(src) <- k + 1;
   let uid = (k * Array.length net.uid_ctr) + src in
   Packet.stamp p ~uid ~src ~dst ~size_bytes ~route_id
-    ~born:(Engine.now rg.r_engine) payload;
+    ~born:(Engine.now net.engine) payload;
   p
 
-let free net p = Packet.Pool.release (ctx net).r_pool p
+let free net p = Packet.Pool.release net.pool p
 let pool net = net.pool
-
-let pool_in_flight net =
-  if net.solo then Packet.Pool.in_flight net.pool
-  else
-    (* grows have been drained into the main cells; buffers parked in any
-       region free list (or the unused main one) are not in flight. *)
-    Packet.Pool.grows net.pool
-    - Packet.Pool.free_count net.pool
-    - Array.fold_left
-        (fun acc rg -> acc + Packet.Pool.free_count rg.r_pool)
-        0 net.regions
+let pool_in_flight net = Packet.Pool.in_flight net.pool
 
 let deliver net node packet ~in_port =
   match net.handlers.(node) with
@@ -577,61 +297,33 @@ let deliver net node packet ~in_port =
   | None ->
     if Packet.dst packet = node then begin
       delivered ~in_port net packet;
-      Packet.Pool.release (ctx net).r_pool packet
+      Packet.Pool.release net.pool packet
     end
     else drop ~at:node ~in_port net packet No_route
 
 (* Put a packet on the wire of an idle channel: one merged event covers
    serialisation and propagation (the transmitter frees at [busy_until];
    the packet arrives [delay_s] later).  A failure during either phase is
-   caught by the epoch check when the event fires.  On a cut channel the
-   event becomes a handoff in the peer region's outbox instead, carrying
-   the (time, sched) key the serial engine would have used. *)
+   caught by the epoch check when the event fires. *)
 let transmit net ch packet =
-  let rg = ctx net in
-  let e = rg.r_engine in
-  let now = Engine.now e in
   let tx_time = float_of_int (Packet.size_bytes packet * 8) /. ch.rate_bps in
-  net.busy_until.(ch.idx) <- now +. tx_time;
+  net.busy_until.(ch.idx) <- Engine.now net.engine +. tx_time;
   let epoch = ch.epoch in
-  if ch.x_cut then begin
-    let dst_rid = net.region_of_node.(ch.dst) in
-    rg.outboxes.(dst_rid) <-
-      {
-        (* Associated exactly as the engine path below computes it
-           ([now + (tx + delay)], via [schedule_in]) — a cut crossing must
-           produce the bit-identical arrival time the serial run gets, or
-           exact-tie groups desynchronise downstream. *)
-        h_time = now +. (tx_time +. ch.delay_s);
-        h_sched = now;
-        h_sched2 = Engine.sched_now e;
-        h_src = rg.rid;
-        h_ctr = rg.r_octr;
-        h_epoch = epoch;
-        h_ch = ch;
-        h_packet = packet;
-      }
-      :: rg.outboxes.(dst_rid);
-    rg.r_octr <- rg.r_octr + 1
-  end
-  else
-    ignore
-      (Engine.schedule_in e (tx_time +. ch.delay_s) (fun () ->
-           if ch.epoch = epoch then deliver net ch.dst packet ~in_port:ch.dst_port
-           else drop net packet Link_down))
+  ignore
+    (Engine.schedule_in net.engine (tx_time +. ch.delay_s) (fun () ->
+         if ch.epoch = epoch then deliver net ch.dst packet ~in_port:ch.dst_port
+         else drop net packet Link_down))
 
 (* Backlogged channels drain via wake events at the transmitter's free
    time.  [wake_scheduled] dedups the common case; stray extra wakes (after
    a failure reset the flag's event) are harmless because service is guarded
-   by [busy_until] and FIFO order by the single queue.  Wakes always target
-   the owning region's engine — [repair_link] may run at a barrier, where
-   the calling context is not the channel's region. *)
+   by [busy_until] and FIFO order by the single queue. *)
 let rec wake net ch () =
   ch.wake_scheduled <- false;
   if
     net.up.(ch.link_id)
     && (not (Queue.is_empty ch.queue))
-    && Engine.now net.regions.(ch.owner_rid).r_engine >= net.busy_until.(ch.idx)
+    && Engine.now net.engine >= net.busy_until.(ch.idx)
   then begin
     let packet = Queue.pop ch.queue in
     ch.queued_bytes <- ch.queued_bytes - Packet.size_bytes packet;
@@ -643,10 +335,9 @@ and schedule_wake net ch =
   if (not ch.wake_scheduled) && (not (Queue.is_empty ch.queue)) && net.up.(ch.link_id)
   then begin
     ch.wake_scheduled <- true;
-    let e = net.regions.(ch.owner_rid).r_engine in
-    let now = Engine.now e in
+    let now = Engine.now net.engine in
     let t = net.busy_until.(ch.idx) in
-    ignore (Engine.schedule_at e (if t > now then t else now) (wake net ch))
+    ignore (Engine.schedule_at net.engine (if t > now then t else now) (wake net ch))
   end
 
 let send net ~from_node ~port packet =
@@ -659,46 +350,24 @@ let send net ~from_node ~port packet =
   end
   else if
     Queue.is_empty ch.queue
-    && Engine.now net.regions.(ch.owner_rid).r_engine >= net.busy_until.(ch.idx)
+    && Engine.now net.engine >= net.busy_until.(ch.idx)
   then transmit net ch packet
   else begin
     Queue.push packet ch.queue;
     ch.queued_bytes <- ch.queued_bytes + Packet.size_bytes packet;
-    Registry.set_max (ctx net).r_counters.g_queue_peak ch.queued_bytes;
+    Registry.set_max net.counters.g_queue_peak ch.queued_bytes;
     schedule_wake net ch
   end
 
 let inject net ~at packet =
-  Registry.incr (ctx net).r_counters.c_injected;
+  Registry.incr net.counters.c_injected;
   record_event net ~switch:(Graph.label net.graph at) ~in_port:(-1)
     ~out_port:(-1) packet Trace.Event.Inject;
   deliver net at packet ~in_port:(-1)
 
-(* --- global administration: failures, repairs, detection ------------- *)
+(* --- administration: failures, repairs, detection --------------------- *)
 
-(* Admin actions on CUT links touch state owned by two regions at once, so
-   on a sharded net they run single-threaded at an epoch barrier, in
-   (time, insertion) order.  Everything region-internal (non-cut links,
-   solo nets) stays an ordinary engine event on the owning region. *)
-let push_admin net ~at ~sched ~sched2 fn =
-  let seq = net.admin_seq in
-  net.admin_seq <- seq + 1;
-  let rec ins = function
-    | [] -> [ (at, sched, sched2, seq, fn) ]
-    | ((t, s, s2, _, _) as hd) :: tl ->
-      if
-        t < at
-        || (t = at && (s < sched || (s = sched && s2 <= sched2)))
-      then hd :: ins tl
-      else (at, sched, sched2, seq, fn) :: hd :: tl
-  in
-  net.admin <- ins net.admin
-
-let schedule_admin net ~at f =
-  if net.solo then ignore (Engine.schedule_at net.regions.(0).r_engine at f)
-  else
-    let e = (ctx net).r_engine in
-    push_admin net ~at ~sched:(Engine.now e) ~sched2:(Engine.sched_now e) f
+let schedule_admin net ~at f = ignore (Engine.schedule_at net.engine at f)
 
 let set_cached_up net id value =
   let link = Graph.link net.graph id in
@@ -713,271 +382,48 @@ let set_cached_up net id value =
    keep selecting the dead port and those packets black-hole. *)
 let schedule_detection net id =
   if net.detection_delay_s <= 0.0 then set_cached_up net id net.up.(id)
-  else begin
-    let fn () = set_cached_up net id net.up.(id) in
-    let ch0 = net.channels.(id).(0) in
-    if (not net.solo) && ch0.x_cut then
-      (* detection flips port caches in two regions: barrier action *)
-      (let e = (ctx net).r_engine in
-       push_admin net
-         ~at:(Engine.now e +. net.detection_delay_s)
-         ~sched:(Engine.now e) ~sched2:(Engine.sched_now e) fn)
-    else
-      ignore
-        (Engine.schedule_in net.regions.(ch0.owner_rid).r_engine
-           net.detection_delay_s fn)
-  end
-
-(* [with_channel_region] pins counter/pool/trace attribution to the
-   channel's owning region while a barrier action (cut-link failure)
-   discards its queue — so the drops land in the same region shard a
-   region-internal failure would have used. *)
-let with_channel_region ch f =
-  let saved = Domain.DLS.get cur_rid in
-  Domain.DLS.set cur_rid ch.owner_rid;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set cur_rid saved) f
+  else
+    ignore
+      (Engine.schedule_in net.engine net.detection_delay_s (fun () ->
+           set_cached_up net id net.up.(id)))
 
 let fail_link net id =
   if net.up.(id) then begin
     Log.info (fun m ->
         let l = Graph.link net.graph id in
-        m "t=%.6f link %d (SW%d-SW%d) failed" (Engine.now (ctx net).r_engine) id
+        m "t=%.6f link %d (SW%d-SW%d) failed" (Engine.now net.engine) id
           (Graph.label net.graph l.Graph.ep0.Graph.node)
           (Graph.label net.graph l.Graph.ep1.Graph.node));
     net.up.(id) <- false;
     schedule_detection net id;
     Array.iter
       (fun ch ->
-        with_channel_region ch (fun () ->
-            ch.epoch <- ch.epoch + 1;
-            net.busy_until.(ch.idx) <- 0.0;
-            Queue.iter (fun p -> drop net p Link_down) ch.queue;
-            Queue.clear ch.queue;
-            ch.queued_bytes <- 0))
+        ch.epoch <- ch.epoch + 1;
+        net.busy_until.(ch.idx) <- 0.0;
+        Queue.iter (fun p -> drop net p Link_down) ch.queue;
+        Queue.clear ch.queue;
+        ch.queued_bytes <- 0)
       net.channels.(id)
   end
 
 let repair_link net id =
   if not net.up.(id) then begin
-    Log.info (fun m -> m "t=%.6f link %d repaired" (Engine.now (ctx net).r_engine) id);
+    Log.info (fun m -> m "t=%.6f link %d repaired" (Engine.now net.engine) id);
     net.up.(id) <- true;
     schedule_detection net id;
     Array.iter (fun ch -> schedule_wake net ch) net.channels.(id)
   end
 
 let schedule_failure net id ~at ~duration =
-  let ch0 = net.channels.(id).(0) in
-  if net.solo || not ch0.x_cut then begin
-    let e = net.regions.(ch0.owner_rid).r_engine in
-    ignore (Engine.schedule_at e at (fun () -> fail_link net id));
-    ignore (Engine.schedule_at e (at +. duration) (fun () -> repair_link net id))
-  end
-  else begin
-    let e = (ctx net).r_engine in
-    let sched = Engine.now e and sched2 = Engine.sched_now e in
-    push_admin net ~at ~sched ~sched2 (fun () -> fail_link net id);
-    push_admin net ~at:(at +. duration) ~sched ~sched2 (fun () ->
-        repair_link net id)
-  end
+  ignore (Engine.schedule_at net.engine at (fun () -> fail_link net id));
+  ignore (Engine.schedule_at net.engine (at +. duration) (fun () -> repair_link net id))
 
 let port_states net node = net.port_cache.(node)
 
-(* [schedule_at_node] books work onto the region that owns [node] — the
-   only safe way for setup-time code (e.g. a TCP flow's kickoff) to enter
-   a sharded timeline.  Solo nets preserve the historical call-now
-   semantics exactly. *)
-let schedule_at_node net node ~at f =
-  let rg = net.regions.(net.region_of_node.(node)) in
-  let now = Engine.now rg.r_engine in
-  if net.solo && at <= now then f ()
-  else
-    ignore
-      (Engine.schedule_keyed rg.r_engine
-         ~time:(if at > now then at else now)
-         ~sched:now
-         ~sched2:(Engine.sched_now rg.r_engine)
-         f)
+(* Setup-time code (e.g. a TCP flow's kickoff) enters the timeline here;
+   a start time not in the future runs at once. *)
+let schedule_at_node net _node ~at f =
+  if at <= Engine.now net.engine then f ()
+  else ignore (Engine.schedule_at net.engine at f)
 
-(* --- the conservative parallel run loop ------------------------------- *)
-
-let tev_compare a b =
-  let c = Float.compare a.tv_vtime b.tv_vtime in
-  if c <> 0 then c
-  else
-    let c = Float.compare a.tv_sched b.tv_sched in
-    if c <> 0 then c
-    else
-      let c = Float.compare a.tv_sched2 b.tv_sched2 in
-      if c <> 0 then c
-      else
-        let c = compare a.tv_rid b.tv_rid in
-        if c <> 0 then c else compare a.tv_ctr b.tv_ctr
-
-let flush_traces net =
-  match net.recorder with
-  | None -> Array.iter (fun rg -> rg.r_tbuf <- []) net.regions
-  | Some r ->
-    let all =
-      Array.fold_left
-        (fun acc rg ->
-          let l = rg.r_tbuf in
-          rg.r_tbuf <- [];
-          List.rev_append l acc)
-        [] net.regions
-    in
-    List.iter
-      (fun tv ->
-        Trace.Recorder.record r
-          ~key:(tv.tv_sched, tv.tv_sched2)
-          ~vtime:tv.tv_vtime ~uid:tv.tv_uid ~switch:tv.tv_switch
-          ~in_port:tv.tv_in ~out_port:tv.tv_out ~ttl:tv.tv_ttl tv.tv_action)
-      (List.sort tev_compare all)
-
-let handoff_compare a b =
-  let c = Float.compare a.h_time b.h_time in
-  if c <> 0 then c
-  else
-    let c = Float.compare a.h_sched b.h_sched in
-    if c <> 0 then c
-    else
-      let c = Float.compare a.h_sched2 b.h_sched2 in
-      if c <> 0 then c
-      else
-        let c = compare a.h_src b.h_src in
-        if c <> 0 then c else compare a.h_ctr b.h_ctr
-
-(* Drain every outbox into the destination engines in canonical order.
-   All arrivals lie at or beyond the barrier (send time + cut delay >=
-   epoch start + lookahead), so they are future events for every region. *)
-let drain_outboxes net =
-  let all =
-    Array.fold_left
-      (fun acc rg ->
-        let acc = ref acc in
-        Array.iteri
-          (fun dst l ->
-            if l <> [] then begin
-              acc := List.rev_append l !acc;
-              rg.outboxes.(dst) <- []
-            end)
-          rg.outboxes;
-        !acc)
-      [] net.regions
-  in
-  List.iter
-    (fun h ->
-      Registry.incr net.c_boundary;
-      let dst_rid = net.region_of_node.(h.h_ch.dst) in
-      ignore
-        (Engine.schedule_keyed net.regions.(dst_rid).r_engine ~time:h.h_time
-           ~sched:h.h_sched ~sched2:h.h_sched2 (fun () ->
-             if h.h_ch.epoch = h.h_epoch then
-               deliver net h.h_ch.dst h.h_packet ~in_port:h.h_ch.dst_port
-             else drop net h.h_packet Link_down)))
-    (List.sort handoff_compare all)
-
-let run_sharded net t_stop =
-  let n = Array.length net.regions in
-  let size = max 1 (min n (Util.Pool.current_jobs ())) in
-  let team = Util.Pool.Team.create ~size in
-  Fun.protect ~finally:(fun () -> Util.Pool.Team.shutdown team) @@ fun () ->
-  let section f =
-    net.in_admin <- false;
-    Util.Pool.Team.run team (fun w ->
-        let rid = ref w in
-        while !rid < n do
-          Domain.DLS.set cur_rid !rid;
-          f net.regions.(!rid);
-          rid := !rid + size
-        done;
-        Domain.DLS.set cur_rid 0);
-    net.in_admin <- true
-  in
-  let admin_next () =
-    match net.admin with [] -> infinity | (t, _, _, _, _) :: _ -> t
-  in
-  let region_next () =
-    Array.fold_left
-      (fun acc rg ->
-        match Engine.next_time rg.r_engine with
-        | Some u -> Float.min acc u
-        | None -> acc)
-      infinity net.regions
-  in
-  let commit ~from ~upto =
-    Array.iter (fun rg -> Engine.advance_clock rg.r_engine upto) net.regions;
-    Array.iter
-      (fun rg ->
-        let p = Engine.processed rg.r_engine in
-        if p = rg.r_mark then Registry.incr net.c_stalls;
-        rg.r_mark <- p)
-      net.regions;
-    flush_traces net;
-    drain_outboxes net;
-    Registry.incr net.c_epochs;
-    (match net.spans with
-     | Some ring ->
-       Kar_obs.Span.record ring Kar_obs.Span.Epoch ~t0:from ~t1:upto
-         ~detail:net.epoch_idx
-     | None -> ());
-    net.epoch_idx <- net.epoch_idx + 1
-  in
-  let pump_admin upto =
-    let rec go () =
-      match net.admin with
-      | (t, sched, sched2, _, fn) :: rest when t <= upto ->
-        net.admin <- rest;
-        (* Events the action schedules (and records it emits) must carry
-           the keys the serial engine would have given them: the action's
-           own scheduling keys. *)
-        Array.iter
-          (fun rg -> Engine.set_context_sched rg.r_engine ~sched ~sched2)
-          net.regions;
-        fn ();
-        go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  net.in_admin <- true;
-  let continue_ = ref true in
-  while !continue_ do
-    let t0 = Engine.now net.regions.(0).r_engine in
-    (* Fast-forward: if nothing anywhere can happen before [tn], the next
-       epoch may start there instead of crawling in lookahead steps. *)
-    let tn = Float.min (region_next ()) (admin_next ()) in
-    let t0 = if tn > t0 then Float.min tn t_stop else t0 in
-    let ta = admin_next () in
-    let e = Float.min (t0 +. net.lookahead) (Float.min ta t_stop) in
-    if ta <= e && ta < t_stop then begin
-      (* the next admin action bounds the epoch: run up to it, commit,
-         then apply every admin entry due at that instant *)
-      section (fun rg -> Engine.run_before rg.r_engine ta);
-      commit ~from:t0 ~upto:ta;
-      pump_admin ta
-    end
-    else if e < t_stop then begin
-      section (fun rg -> Engine.run_before rg.r_engine e);
-      commit ~from:t0 ~upto:e
-    end
-    else begin
-      (* Final window: [t0, t_stop) fits within one lookahead, so first
-         run strictly below t_stop, settle admin due exactly at t_stop
-         (admin sorts before data at equal times, as in a serial run),
-         then take the inclusive final step. *)
-      section (fun rg -> Engine.run_before rg.r_engine t_stop);
-      commit ~from:t0 ~upto:t_stop;
-      pump_admin t_stop;
-      section (fun rg -> Engine.run_until rg.r_engine t_stop);
-      commit ~from:t_stop ~upto:t_stop;
-      continue_ := false
-    end
-  done;
-  net.in_admin <- false;
-  Array.iter
-    (fun rg -> Registry.drain_into ~into:net.registry rg.r_registry)
-    net.regions
-
-let run_until net t_stop =
-  if net.solo then Engine.run_until net.regions.(0).r_engine t_stop
-  else run_sharded net t_stop
+let run_until net t_stop = Engine.run_until net.engine t_stop

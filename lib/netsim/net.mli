@@ -62,87 +62,26 @@ val create :
   unit ->
   t
 
-(** {2 Sharded (conservative parallel) simulation}
-
-    [create_partitioned ~graph ~partition ()] builds a network whose
-    switches are split across [partition.n_regions] regions.  Each region
-    owns a private event heap, metrics shard, packet pool and the
-    [busy_until] state of the channels transmitting out of its nodes, and
-    is simulated on its own domain; {!run_until} advances all regions in
-    lockstep epochs of width [partition.lookahead] (the minimum
-    propagation delay across cut links), exchanging boundary packets
-    through per-region-pair mailboxes drained in a canonical order at
-    each barrier.  Failures of cut links (and anything else registered
-    with {!schedule_admin}) execute single-threaded at barriers.
-
-    A 1-region partition degenerates to exactly the serial structure (no
-    barriers, no buffering) with a private engine.
-
-    Determinism: a sharded run produces byte-identical traces and
-    equivalent [netsim/*] flow counters at any region count.  Metrics
-    that describe the {e execution} rather than the {e simulated network}
-    — [engine/*] probes, [netsim/epochs], [netsim/region-*],
-    [netsim/pool-hit]/[netsim/pool-grow], [topo/cut-edges-ppm] — depend
-    on the partition by nature and are excluded from that guarantee
-    ([netsim/pool-release] and [netsim/queue-peak-bytes] remain
-    invariant).
-
-    @raise Invalid_argument if the partition does not match [graph], or
-    if (with 2+ regions) a cut link has a non-positive delay — a
-    zero-delay cut would force zero-width epochs and deadlock the
-    barrier. *)
-val create_partitioned :
-  graph:Topo.Graph.t ->
-  partition:Topo.Partition.t ->
-  ?registry:Kar_obs.Registry.t ->
-  ?queue_capacity_bytes:int ->
-  ?ttl:int ->
-  ?detection_delay_s:float ->
-  unit ->
-  t
-
-(** [run_until net t] advances the simulation to virtual time [t]: on a
-    solo net, exactly [Engine.run_until]; on a sharded net, the epoch
-    barrier loop (spinning up a {!Util.Pool.Team} of
-    [min regions (Util.Pool.current_jobs ())] domains for the duration of
-    the call).  After it returns, every region's metrics shard has been
-    drained into {!registry}. *)
+(** [run_until net t] advances the simulation to virtual time [t]
+    ([Engine.run_until] on the net's engine). *)
 val run_until : t -> float -> unit
 
-(** Region count (1 for solo nets). *)
-val n_regions : t -> int
-
-(** [region_of net node] is the region owning [node] (0 for solo nets). *)
-val region_of : t -> Topo.Graph.node -> int
-
-(** The epoch width: minimum cut-link delay ([infinity] for solo nets). *)
-val lookahead : t -> float
-
-(** [schedule_admin net ~at f] runs [f] at virtual time [at] in the
-    global (single-threaded) context: at an epoch barrier on sharded
-    nets, as an ordinary engine event on solo nets.  All regions' clocks
-    read exactly [at] while [f] runs, so [f] may observe or mutate
-    cross-region state consistently. *)
+(** [schedule_admin net ~at f] runs [f] at virtual time [at] as an
+    ordinary engine event.  Topology changes (failures, repairs, replans)
+    enter the timeline through it. *)
 val schedule_admin : t -> at:float -> (unit -> unit) -> unit
 
-(** [schedule_at_node net node ~at f] schedules [f] on the region that
-    owns [node] — required for setup-time code entering a sharded
-    timeline (e.g. a TCP flow kickoff at its source host).  On solo nets
-    with [at] not in the future, [f] runs immediately (the historical
-    behaviour). *)
+(** [schedule_at_node net node ~at f] schedules setup-time work that
+    starts at [node] (e.g. a TCP flow kickoff at its source host) for
+    virtual time [at]; with [at] not in the future, [f] runs
+    immediately. *)
 val schedule_at_node :
   t -> Topo.Graph.node -> at:float -> (unit -> unit) -> unit
 
-(** Attach a span ring: sharded runs record one {!Kar_obs.Span.Epoch}
-    span per barrier interval ([detail] = epoch index). *)
-val set_spans : t -> Kar_obs.Span.t option -> unit
-
 val graph : t -> Topo.Graph.t
 
-(** The engine of the calling context's region: the net's single engine
-    on solo nets; inside a sharded run, the engine of the region whose
-    event is currently executing (handlers use it for [now] and local
-    timer scheduling, exactly as in the serial simulator). *)
+(** The engine the network was created on (handlers use it for [now] and
+    timer scheduling). *)
 val engine : t -> Engine.t
 
 (** The network's metrics registry: [netsim/*] counters (injected,
@@ -229,15 +168,12 @@ val alloc :
 
 val free : t -> Packet.t -> unit
 
-(** The network's main buffer pool (counter accessors: {!Packet.Pool.hits},
+(** The network's buffer pool (counter accessors: {!Packet.Pool.hits},
     {!Packet.Pool.grows}, {!Packet.Pool.in_flight},
-    {!Packet.Pool.releases}).  On a sharded net the counters aggregate all
-    region pools once {!run_until} has drained the shards; use
-    {!pool_in_flight} for the in-flight figure. *)
+    {!Packet.Pool.releases}). *)
 val pool : t -> Packet.Pool.t
 
-(** Packets currently alive across every region pool (equals
-    [Packet.Pool.in_flight (pool net)] on solo nets). *)
+(** Packets currently alive: [Packet.Pool.in_flight (pool net)]. *)
 val pool_in_flight : t -> int
 
 (** [port_states net node] is the current {!Kar.Policy.port_state} array of
@@ -255,13 +191,11 @@ val port_states : t -> Topo.Graph.node -> Kar.Policy.port_state array
 val set_recorder : t -> Trace.Recorder.t option -> unit
 val recorder : t -> Trace.Recorder.t option
 
-(** [record_decision net ~switch ~in_port ~out_port packet action] appends
-    a flight-recorder event through the network's ordering machinery: a
-    direct append on solo nets, the region's canonical-merge buffer on
-    sharded nets.  {!Karnet} uses it for forwarding decisions and
-    re-encodes; handlers must never call {!Trace.Recorder.record} on the
-    attached recorder themselves, which would break sharded trace order. *)
-val record_decision :
+(** [record_event net ~switch ~in_port ~out_port packet action] appends a
+    flight-recorder event stamped with the current virtual time and the
+    packet's uid and remaining TTL; a no-op with no recorder attached.
+    {!Karnet} uses it for forwarding decisions and re-encodes. *)
+val record_event :
   t ->
   switch:int ->
   in_port:int ->

@@ -103,7 +103,6 @@ module Pool = struct
   let grows pool = Registry.value pool.grow_c
   let releases pool = Registry.value pool.release_c
   let in_flight pool = grows pool - pool.free_top
-  let free_count pool = pool.free_top
 end
 
 let pp ppf p =

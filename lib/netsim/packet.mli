@@ -116,11 +116,6 @@ module Pool : sig
 
   (** Pooled packets currently out (not on the free list). *)
   val in_flight : t -> int
-
-  (** Buffers currently parked in the free list.  A sharded net sums
-      this over its per-region pools to compute a pool-placement-
-      independent in-flight figure. *)
-  val free_count : t -> int
 end
 
 val pp : Format.formatter -> t -> unit

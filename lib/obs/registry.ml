@@ -185,18 +185,6 @@ let shards t ~n =
   in
   Array.init n (fun _ -> make_one ())
 
-let zero src =
-  List.iter
-    (fun (_, m) ->
-      match m with
-      | Counter c | Gauge c -> set c 0
-      | Histogram h ->
-        Array.fill h.buckets 0 n_buckets 0;
-        h.count <- 0;
-        h.sum <- 0
-      | Probe _ -> ())
-    (metrics src)
-
 let merge_into ~into src =
   List.iter
     (fun (name, m) ->
@@ -223,7 +211,3 @@ let merge_into ~into src =
            invalid_arg
              (Printf.sprintf "Registry.merge_into: kind mismatch for %S" name)))
     (metrics src)
-
-let drain_into ~into src =
-  merge_into ~into src;
-  zero src

@@ -109,12 +109,6 @@ val shards : t -> n:int -> t array
     and associative, so any merge order yields the same result. *)
 val merge_into : into:t -> t -> unit
 
-(** [drain_into ~into src] is {!merge_into} followed by zeroing every
-    non-probe metric of [src], so a long-lived shard (a simulation
-    region's private registry) can be folded into the main registry
-    repeatedly without double counting. *)
-val drain_into : into:t -> t -> unit
-
 (** {1 Enumeration} — registration order, for exporters. *)
 
 type metric =

@@ -4,7 +4,6 @@ type kind =
   | Epoch_invalidate
   | Verify_sweep
   | Snapshot
-  | Epoch
   | Scenario_event
 
 let kind_to_string = function
@@ -13,16 +12,16 @@ let kind_to_string = function
   | Epoch_invalidate -> "epoch-invalidate"
   | Verify_sweep -> "verify-sweep"
   | Snapshot -> "snapshot"
-  | Epoch -> "epoch"
   | Scenario_event -> "scenario-event"
 
+(* Tags are a stored format: tag 5 belonged to a removed kind and stays
+   unused. *)
 let tag_of_kind = function
   | Plan_compile -> 0
   | Batch_dispatch -> 1
   | Epoch_invalidate -> 2
   | Verify_sweep -> 3
   | Snapshot -> 4
-  | Epoch -> 5
   | Scenario_event -> 6
 
 let kind_of_tag = function
@@ -31,7 +30,6 @@ let kind_of_tag = function
   | 2 -> Epoch_invalidate
   | 3 -> Verify_sweep
   | 4 -> Snapshot
-  | 5 -> Epoch
   | 6 -> Scenario_event
   | t -> invalid_arg (Printf.sprintf "Span: bad tag %d" t)
 
@@ -84,7 +82,7 @@ let span_to_jsonl s =
 let summary t =
   let kinds =
     [ Plan_compile; Batch_dispatch; Epoch_invalidate; Verify_sweep; Snapshot;
-      Epoch; Scenario_event ]
+      Scenario_event ]
   in
   let spans = contents t in
   let rows =

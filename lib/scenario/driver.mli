@@ -1,9 +1,7 @@
 (** Feed an event stream into the packet simulator.
 
-    Events are applied through {!Netsim.Net.schedule_admin}, so on a
-    sharded net they land at epoch barriers in the global single-threaded
-    context — scenario runs stay byte-identical at any [--regions] and
-    any [-j], and on solo nets they degrade to ordinary engine events.
+    Events are applied through {!Netsim.Net.schedule_admin}, as ordinary
+    engine events at their virtual times.
 
     Arming registers [scenario/*] instrumentation on the net's registry
     (so call it once per net): the [scenario/events] counter (events

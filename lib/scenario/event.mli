@@ -3,8 +3,8 @@
 
     A scenario is an ordered stream of [{at; action; link}] records.  The
     stream is the {e only} interface between generation and consumption:
-    the data plane applies it through {!Driver.arm} (admin actions, so it
-    lands at sharded-region barriers), and the control plane converts it
+    the data plane applies it through {!Driver.arm} (admin engine events),
+    and the control plane converts it
     with {!to_failures} into the [Kar_service.Server.run ~failures]
     schedule.  Both planes therefore replay the identical stream. *)
 

@@ -613,9 +613,6 @@ let start ~net ~id ~src ~dst ~fwd_route ~rev_route ?(config = default_config)
     | Some time -> time
   in
   let kickoff () = send_available t in
-  (* The kickoff must run on the region owning [src]: on a sharded net the
-     flow's timers and segments belong to that timeline.  On a solo net
-     this is the historical immediate-call / schedule_at behaviour. *)
   Net.schedule_at_node net src ~at:begin_at kickoff;
   t
 

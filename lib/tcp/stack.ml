@@ -26,23 +26,11 @@ let create ~net ?(reencode_delay_s = 1e-3) () =
   let stack =
     { flows = Hashtbl.create 16; controller = Kar.Controller.create_cache (Net.graph net) }
   in
-  (* The re-encode cache is one hashtable shared by every edge node; on a
-     sharded net different regions may re-encode concurrently, so the
-     lookup is serialised.  Re-encodes are control-plane-rate (they model
-     a controller round trip) and the result is a pure function of
-     (node, dst), so the lock affects neither throughput nor
-     determinism. *)
-  let controller_lock = Mutex.create () in
   List.iter
     (fun v ->
       Karnet.install_edge net v ~reencode_delay_s
         ~reencode:(fun packet ->
-          Mutex.lock controller_lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock controller_lock)
-            (fun () ->
-              Kar.Controller.reencode stack.controller ~at:v
-                ~dst:(Packet.dst packet)))
+          Kar.Controller.reencode stack.controller ~at:v ~dst:(Packet.dst packet))
         ~receive:(fun net packet -> dispatch stack net packet)
         ())
     (Graph.edge_nodes (Net.graph net));

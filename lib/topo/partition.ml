@@ -3,7 +3,6 @@ type t = {
   region_of : int array;
   cut_links : Graph.link_id list;
   cut_ratio : float;
-  lookahead : float;
 }
 
 (* Plain BFS distance vector from [src], hop metric, whole graph. *)
@@ -123,12 +122,7 @@ let make g ~regions =
     if n_links = 0 then 0.0
     else float_of_int (List.length cut_links) /. float_of_int n_links
   in
-  let lookahead =
-    List.fold_left
-      (fun acc id -> Float.min acc (Graph.link g id).Graph.delay_s)
-      infinity cut_links
-  in
-  { n_regions = regions; region_of; cut_links; cut_ratio; lookahead }
+  { n_regions = regions; region_of; cut_links; cut_ratio }
 
 let validate p g =
   let n = Graph.n_nodes g in

@@ -1,15 +1,12 @@
-(** Region partitioning for conservative parallel simulation.
+(** Shared-risk region generator: the regions that fail together in
+    [Kar_scenario]'s regional SRLG outages ([regional:] specs).
 
     [make g ~regions] splits the node set of [g] into [regions] connected,
     non-empty regions covering every node, by min-cut-biased multi-source
     BFS growth: seeds are spread by farthest-first traversal, then the
     smallest region repeatedly claims the frontier node with the most
     already-claimed neighbours (fewest new cut edges).  Growth along links
-    keeps every region connected by construction.
-
-    The partition quality metrics drive the simulator's lookahead and the
-    bench history: [lookahead] is the minimum propagation delay over cut
-    links — the conservative-simulation horizon — and [cut_ratio] is
+    keeps every region connected by construction.  [cut_ratio] is
     boundary links / total links. *)
 
 type t = {
@@ -17,8 +14,6 @@ type t = {
   region_of : int array;  (** node -> region index in [0 .. n_regions-1] *)
   cut_links : Graph.link_id list;  (** links whose endpoints differ, ascending *)
   cut_ratio : float;  (** boundary links / total links (0.0 when linkless) *)
-  lookahead : float;
-      (** minimum [delay_s] over cut links; [infinity] when no link is cut *)
 }
 
 (** [make g ~regions] partitions [g].

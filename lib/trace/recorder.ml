@@ -1,23 +1,5 @@
 type sink = Event.t -> unit
 
-(* A record waiting in the current tie group (events sharing one exact
-   (vtime, sched, sched2) engine instant).  The group is sorted by
-   (uid, causal action rank) before it reaches the ring: a canonical
-   content order that any simulation of the same network produces
-   identically, however its execution interleaved events that carry the
-   very same timestamp key.  This is what makes a sharded run's trace
-   byte-identical to the serial one even when two lock-stepped packet
-   streams tie beyond their recorded scheduling history. *)
-type pending = {
-  p_vtime : float;
-  p_uid : int;
-  p_switch : int;
-  p_in : int;
-  p_out : int;
-  p_ttl : int;
-  p_action : Event.action;
-}
-
 type t = {
   capacity : int;
   mutable buf : Event.t array; (* [||] until first record, then [capacity] *)
@@ -25,10 +7,6 @@ type t = {
   mutable recorded : int;
   sink : sink option;
   mutable protected_switches : int list;
-  mutable pk_sched : float; (* key of the pending tie group *)
-  mutable pk_sched2 : float;
-  mutable pk_vtime : float;
-  mutable pending : pending list; (* newest first *)
 }
 
 let default_capacity = 65536
@@ -41,10 +19,6 @@ let create ?(capacity = default_capacity) ?sink ?(protected_switches = []) () =
     recorded = 0;
     sink;
     protected_switches;
-    pk_sched = nan;
-    pk_sched2 = nan;
-    pk_vtime = nan;
-    pending = [];
   }
 
 let jsonl_sink oc e =
@@ -53,9 +27,8 @@ let jsonl_sink oc e =
 
 let is_protected t label = List.mem label t.protected_switches
 let set_protected t labels = t.protected_switches <- labels
-let protected_switches t = t.protected_switches
 
-let append t ~vtime ~uid ~switch ~in_port ~out_port ~ttl action =
+let record t ~vtime ~uid ~switch ~in_port ~out_port ~ttl action =
   let e =
     { Event.seq = t.recorded; vtime; uid; switch; in_port; out_port; ttl; action }
   in
@@ -65,79 +38,18 @@ let append t ~vtime ~uid ~switch ~in_port ~out_port ~ttl action =
   t.recorded <- t.recorded + 1;
   match t.sink with None -> () | Some sink -> sink e
 
-(* Causal rank within one instant: a packet can be injected or re-encoded,
-   then take a forwarding decision, and then terminate — all at the same
-   virtual time (e.g. a send straight into a full queue).  Distinct
-   packets never share (uid, rank) at one instant because every link has
-   positive delay. *)
-let action_rank = function
-  | Event.Inject -> 0
-  | Event.Reencode -> 1
-  | Event.Forward | Event.Deflect _ | Event.Drive -> 2
-  | Event.Deliver -> 3
-  | Event.Drop _ -> 4
-
-let pending_compare a b =
-  let c = compare a.p_uid b.p_uid in
-  if c <> 0 then c else compare (action_rank a.p_action) (action_rank b.p_action)
-
-let flush t =
-  match t.pending with
-  | [] -> ()
-  | l ->
-    t.pending <- [];
-    List.iter
-      (fun p ->
-        append t ~vtime:p.p_vtime ~uid:p.p_uid ~switch:p.p_switch
-          ~in_port:p.p_in ~out_port:p.p_out ~ttl:p.p_ttl p.p_action)
-      (List.stable_sort pending_compare (List.rev l))
-
-let record ?key t ~vtime ~uid ~switch ~in_port ~out_port ~ttl action =
-  match key with
-  | None ->
-    (* Unkeyed records (the analytic walker, tests) stream straight
-       through in call order. *)
-    flush t;
-    append t ~vtime ~uid ~switch ~in_port ~out_port ~ttl action
-  | Some (sched, sched2) ->
-    if
-      t.pending <> []
-      && not
-           (Float.equal t.pk_vtime vtime
-           && Float.equal t.pk_sched sched
-           && Float.equal t.pk_sched2 sched2)
-    then flush t;
-    t.pk_vtime <- vtime;
-    t.pk_sched <- sched;
-    t.pk_sched2 <- sched2;
-    t.pending <-
-      {
-        p_vtime = vtime;
-        p_uid = uid;
-        p_switch = switch;
-        p_in = in_port;
-        p_out = out_port;
-        p_ttl = ttl;
-        p_action = action;
-      }
-      :: t.pending
+let flush _ = ()
 
 let contents t =
-  flush t;
   let live = min t.recorded t.capacity in
   let start = (t.next - live + t.capacity) mod t.capacity in
   List.init live (fun i -> t.buf.((start + i) mod t.capacity))
 
-let recorded t =
-  flush t;
-  t.recorded
+let recorded t = t.recorded
 
-let overwritten t =
-  flush t;
-  max 0 (t.recorded - t.capacity)
+let overwritten t = max 0 (t.recorded - t.capacity)
 
 let clear t =
   t.next <- 0;
   t.recorded <- 0;
-  t.buf <- [||];
-  t.pending <- []
+  t.buf <- [||]

@@ -27,24 +27,11 @@ val is_protected : t -> int -> bool
 
 val set_protected : t -> int list -> unit
 
-(** The current protected set, so a derived recorder (per-region trace
-    buffer) can classify identically. *)
-val protected_switches : t -> int list
-
 (** [record t ~vtime ~uid ~switch ~in_port ~out_port ~ttl action] appends
-    an event, assigning the next sequence number.
-
-    With [?key] (the engine's [(sched, sched2)] determinism key), events
-    sharing one exact [(vtime, sched, sched2)] instant form a {e tie
-    group}: they are held back and emitted in canonical
-    [(uid, causal-action-rank)] order when the key advances.  Serial and
-    sharded simulations produce the same tie groups, so sorting them
-    canonically makes the emitted traces byte-identical even where the
-    engine order of same-instant, causally independent events differs.
-    Unkeyed records flush any pending group and stream straight through
-    in call order. *)
+    an event, assigning the next sequence number.  Events keep the order
+    of the [record] calls, which for the simulator is the order the engine
+    ran them in. *)
 val record :
-  ?key:float * float ->
   t ->
   vtime:float ->
   uid:int ->
@@ -55,9 +42,8 @@ val record :
   Event.action ->
   unit
 
-(** Emit any pending tie group.  {!contents}, {!recorded} and
-    {!overwritten} flush implicitly; call this before closing a sink's
-    channel. *)
+(** A no-op: {!record} hands every event to the ring and the sink
+    immediately, so nothing is ever pending. *)
 val flush : t -> unit
 
 (** Events still in the ring, oldest first. *)

@@ -48,37 +48,6 @@ val map : t -> 'a array -> f:(idx:int -> 'a -> 'b) -> 'b array
     shut-down pool runs serially on the caller. *)
 val shutdown : t -> unit
 
-(** {1 Persistent worker teams}
-
-    A {!Team.t} complements {!map}: instead of stealing tasks from an
-    array, every member runs the {e same} function with its fixed member
-    index — the shape a conservative parallel simulation needs, where
-    member [w] always drives the same partition regions between epoch
-    barriers.  Members are persistent domains parked between sections, so
-    a barrier costs condition-variable round-trips, not domain spawns. *)
-
-module Team : sig
-  type t
-
-  (** [create ~size] spawns [size - 1] member domains; the caller of
-      {!run} acts as member [0].  [size >= 1] (a team of 1 spawns
-      nothing and {!run} degenerates to a plain call). *)
-  val create : size:int -> t
-
-  (** Members in the team, including the calling domain. *)
-  val size : t -> int
-
-  (** [run t f] executes [f 0 .. f (size-1)] concurrently, one call per
-      member, and returns when all have finished.  If any call raised,
-      the first recorded exception is re-raised in the caller after the
-      barrier (the caller's own exception wins ties).  Must not be
-      called re-entrantly or concurrently on the same team. *)
-  val run : t -> (int -> unit) -> unit
-
-  (** Terminates and joins the member domains.  Idempotent. *)
-  val shutdown : t -> unit
-end
-
 (** {1 The shared pool}
 
     The experiment layer runs on one process-wide pool so a single

@@ -489,123 +489,6 @@ let test_reorder_interleaved () =
   Alcotest.(check int) "half reordered" 4 m.Netsim.Reorder.reordered;
   Alcotest.(check int) "extent stays 1" 1 m.Netsim.Reorder.max_extent
 
-(* --- sharded (conservative parallel) simulation --- *)
-
-(* Run a full TCP-over-KAR simulation of [sc] with a mid-run failure and
-   return the complete flight-recorder trace plus the partition-invariant
-   counters.  [regions = None] is the historical serial path; [Some r]
-   partitions the graph and drives the epoch-barrier loop. *)
-let run_scenario ?regions sc ~fail_idx ~seed ~duration () =
-  let g = sc.Topo.Nets.graph in
-  let recorder = Trace.Recorder.create ~capacity:(1 lsl 20) () in
-  let net =
-    match regions with
-    | None -> Net.create ~graph:g ~engine:(Engine.create ()) ()
-    | Some r ->
-      let partition = Topo.Partition.make g ~regions:r in
-      Net.create_partitioned ~graph:g ~partition ()
-  in
-  Net.set_recorder net (Some recorder);
-  Netsim.Karnet.install_switches net ~policy:Kar.Policy.Not_input_port ~seed;
-  let stack = Tcp.Stack.create ~net () in
-  let fwd = Kar.Controller.scenario_plan sc Kar.Controller.Full in
-  let rev = Kar.Controller.scenario_reverse_plan sc Kar.Controller.Full in
-  let flow =
-    Tcp.Flow.start ~net ~id:1 ~src:sc.Topo.Nets.ingress ~dst:sc.Topo.Nets.egress
-      ~fwd_route:fwd.Kar.Route.route_id ~rev_route:rev.Kar.Route.route_id ()
-  in
-  Tcp.Stack.register stack flow;
-  let fc = List.nth sc.Topo.Nets.failures fail_idx in
-  Net.schedule_failure net fc.Topo.Nets.link ~at:(duration /. 3.0)
-    ~duration:(duration /. 3.0);
-  Net.run_until net duration;
-  let trace = List.map Trace.Event.to_jsonl (Trace.Recorder.contents recorder) in
-  let in_flight = Net.pool_in_flight net in
-  (trace, Net.stats net, Tcp.Flow.stats flow, in_flight)
-
-let check_stats_equal name (a : Net.stats) (b : Net.stats) =
-  Alcotest.(check int) (name ^ " injected") a.Net.injected b.Net.injected;
-  Alcotest.(check int) (name ^ " delivered") a.Net.delivered b.Net.delivered;
-  Alcotest.(check int)
-    (name ^ " dropped-link-down") a.Net.dropped_link_down b.Net.dropped_link_down;
-  Alcotest.(check int)
-    (name ^ " dropped-queue-full") a.Net.dropped_queue_full b.Net.dropped_queue_full;
-  Alcotest.(check int) (name ^ " dropped-ttl") a.Net.dropped_ttl b.Net.dropped_ttl;
-  Alcotest.(check int) (name ^ " hops") a.Net.total_switch_hops b.Net.total_switch_hops;
-  Alcotest.(check int) (name ^ " deflections") a.Net.deflections b.Net.deflections;
-  Alcotest.(check int) (name ^ " reencodes") a.Net.reencodes b.Net.reencodes
-
-let check_sharded_matches_serial sc ~fail_idx ~seed ~duration rs () =
-  let serial_trace, serial_stats, serial_flow, serial_in_flight =
-    run_scenario sc ~fail_idx ~seed ~duration ()
-  in
-  Alcotest.(check bool) "serial trace non-trivial" true
-    (List.length serial_trace > 100);
-  List.iter
-    (fun r ->
-      let trace, stats, flow, in_flight =
-        run_scenario ~regions:r sc ~fail_idx ~seed ~duration ()
-      in
-      let name = Printf.sprintf "r=%d" r in
-      (if Sys.getenv_opt "KAR_TEST_DUMP" <> None then begin
-         let dump path lines =
-           let oc = open_out path in
-           List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-           close_out oc
-         in
-         dump "/tmp/trace_serial.jsonl" serial_trace;
-         dump (Printf.sprintf "/tmp/trace_r%d.jsonl" r) trace
-       end);
-      Alcotest.(check int)
-        (name ^ " trace length") (List.length serial_trace) (List.length trace);
-      List.iteri
-        (fun i (s, p) ->
-          if not (String.equal s p) then
-            Alcotest.failf "%s trace diverges at event %d:\n  serial:  %s\n  sharded: %s"
-              name i s p)
-        (List.combine serial_trace trace);
-      check_stats_equal name serial_stats stats;
-      Alcotest.(check int) (name ^ " flow bytes-acked")
-        serial_flow.Tcp.Flow.bytes_acked flow.Tcp.Flow.bytes_acked;
-      Alcotest.(check int) (name ^ " flow retransmissions")
-        serial_flow.Tcp.Flow.retransmissions flow.Tcp.Flow.retransmissions;
-      Alcotest.(check int) (name ^ " packets in flight at stop")
-        serial_in_flight in_flight)
-    rs
-
-let test_sharded_determinism_net15 =
-  check_sharded_matches_serial Topo.Nets.net15 ~fail_idx:1 ~seed:42 ~duration:2.0
-    [ 1; 2; 4; 8 ]
-
-let test_sharded_determinism_rnp28 =
-  check_sharded_matches_serial Topo.Nets.rnp28 ~fail_idx:0 ~seed:7 ~duration:2.0
-    [ 2; 4 ]
-
-let test_sharded_zero_delay_cut_rejected () =
-  (* a graph whose every link has zero delay cannot be partitioned into
-     2+ regions: the lookahead would be zero *)
-  let b = Graph.Builder.create () in
-  let a = Graph.Builder.add_node b ~kind:Graph.Edge 100 in
-  let s1 = Graph.Builder.add_node b ~kind:Graph.Core 3 in
-  let s2 = Graph.Builder.add_node b ~kind:Graph.Core 5 in
-  let d = Graph.Builder.add_node b ~kind:Graph.Edge 101 in
-  ignore (Graph.Builder.add_link b ~rate_bps:1e9 ~delay_s:0.0 a s1);
-  ignore (Graph.Builder.add_link b ~rate_bps:1e9 ~delay_s:0.0 s1 s2);
-  ignore (Graph.Builder.add_link b ~rate_bps:1e9 ~delay_s:0.0 s2 d);
-  let g = Graph.Builder.finish b in
-  let partition = Topo.Partition.make g ~regions:2 in
-  (match Net.create_partitioned ~graph:g ~partition () with
-  | _ -> Alcotest.fail "zero-delay cut was accepted"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error names the zero-delay cut (%s)" msg)
-      true
-      (Astring.String.is_infix ~affix:"zero-delay" msg));
-  (* the same graph is fine as a single region (no cut links) *)
-  let solo = Topo.Partition.make g ~regions:1 in
-  let net = Net.create_partitioned ~graph:g ~partition:solo () in
-  Alcotest.(check int) "solo regions" 1 (Net.n_regions net)
-
 let () =
   Alcotest.run "netsim"
     [
@@ -662,14 +545,5 @@ let () =
           Alcotest.test_case "edge re-encode rescues strays" `Quick test_edge_reencode;
           Alcotest.test_case "healthy path is deterministic" `Quick
             test_karnet_full_path_deterministic;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "net15 trace identical at r=1/2/4/8" `Slow
-            test_sharded_determinism_net15;
-          Alcotest.test_case "rnp28 trace identical at r=2/4" `Slow
-            test_sharded_determinism_rnp28;
-          Alcotest.test_case "zero-delay cut rejected" `Quick
-            test_sharded_zero_delay_cut_rejected;
         ] );
     ]

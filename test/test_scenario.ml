@@ -1,8 +1,8 @@
 (* Tests for the failure-scenario engine (lib/scenario): spec grammar
    round-trips, well-formedness of generated streams, the adversarial
    scheduler's dependency targeting and connectivity invariant, driver
-   instrumentation, and byte-identical determinism of churn runs across
-   pool widths and region counts. *)
+   instrumentation, byte-identical determinism of churn runs across pool
+   widths, and a clean flight record under adversarial churn. *)
 
 module Graph = Topo.Graph
 module Nets = Topo.Nets
@@ -259,7 +259,7 @@ let test_driver_counters () =
   Alcotest.(check int) "peak concurrent outages" 2
     (Registry.read r "scenario/max-links-down")
 
-(* --- determinism: pool width and region count --- *)
+(* --- determinism: pool width --- *)
 
 let at_jobs jobs f =
   Pool.set_jobs jobs;
@@ -275,36 +275,6 @@ let test_generation_deterministic_vs_jobs () =
   in
   Alcotest.(check bool) "event streams byte-identical at -j 1 and -j 8" true
     (at_jobs 1 gen = at_jobs 8 gen)
-
-let trace_of_run sc ~events ~regions =
-  let recorder = Trace.Recorder.create ~capacity:(1 lsl 18) () in
-  let r =
-    Churn.run_data sc ~events ~technique:Churn.Kar ~regions ~recorder
-      ~rate_pps:300 ~duration_s:1.5 ~seed:42 ()
-  in
-  let lines =
-    String.concat "\n"
-      (List.map Trace.Event.to_jsonl (Trace.Recorder.contents recorder))
-  in
-  (r, lines)
-
-let test_run_deterministic_vs_regions () =
-  let events = Churn.events_for net15 ~horizon:1.5 `Flap in
-  let r1, t1 = trace_of_run net15 ~events ~regions:0 in
-  let r2, t2 = trace_of_run net15 ~events ~regions:2 in
-  Alcotest.(check bool) "data results identical serial vs --regions 2" true
-    (r1 = r2);
-  Alcotest.(check bool) "flight records byte-identical serial vs --regions 2"
-    true
-    (String.equal t1 t2);
-  Alcotest.(check bool) "the run actually delivered traffic" true
-    (r1.Churn.delivered > 0)
-
-let test_run_deterministic_vs_jobs () =
-  let events = Churn.events_for net15 ~horizon:1.5 `Flap in
-  let run () = trace_of_run net15 ~events ~regions:2 in
-  Alcotest.(check bool) "sharded churn run identical at -j 1 and -j 8" true
-    (at_jobs 1 run = at_jobs 8 run)
 
 (* --- golden fixture --- *)
 
@@ -339,6 +309,52 @@ let test_adversary_hurts_baselines_more () =
     true
     (kar.Churn.delivery_ratio > ff.Churn.delivery_ratio +. 0.05)
 
+(* --- the flight record under adversarial churn --- *)
+
+(* One TCP flow over rnp28's full-protection plans while the adversary
+   fails the links they depend on.  Failures discard whole queues at one
+   instant, so many records share a timestamp; the trace must keep the
+   order the engine ran them in, or the per-queue FIFO check reports a
+   packet overtaking one sent before it. *)
+let test_adversarial_trace_clean () =
+  let horizon = 12.0 in
+  let g = rnp28.Nets.graph and src = rnp28.Nets.ingress
+  and dst = rnp28.Nets.egress in
+  let plan = Kar.Controller.scenario_plan rnp28 Kar.Controller.Full in
+  let rev = Kar.Controller.scenario_reverse_plan rnp28 Kar.Controller.Full in
+  let events =
+    match Spec.parse "adversarial:k=2,period=0.5,hold=0.45,level=full" with
+    | Ok spec -> generate_exn g ~horizon ~pairs:[ (src, dst) ] spec
+    | Error e -> Alcotest.failf "spec: %s" e
+  in
+  let net =
+    Netsim.Net.create ~graph:g ~engine:(Netsim.Engine.create ()) ()
+  in
+  let trace = ref [] in
+  let recorder =
+    Trace.Recorder.create ~capacity:1
+      ~sink:(fun e -> trace := e :: !trace)
+      ~protected_switches:
+        (List.map (fun r -> r.Rns.modulus)
+           (plan.Kar.Route.residues @ rev.Kar.Route.residues))
+      ()
+  in
+  Netsim.Net.set_recorder net (Some recorder);
+  Netsim.Karnet.install_switches net ~policy:Kar.Policy.Not_input_port ~seed:1;
+  let stack = Tcp.Stack.create ~net () in
+  let flow =
+    Tcp.Flow.start ~net ~id:1 ~src ~dst ~fwd_route:plan.Kar.Route.route_id
+      ~rev_route:rev.Kar.Route.route_id ()
+  in
+  Tcp.Stack.register stack flow;
+  Driver.arm net events;
+  Netsim.Net.run_until net horizon;
+  Alcotest.(check bool) "the schedule fails links" true (events <> []);
+  Alcotest.(check (list string)) "no invariant violations" []
+    (List.map
+       (Format.asprintf "%a" Trace.Invariant.pp_violation)
+       (Trace.Invariant.check !trace))
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   Alcotest.run "scenario"
@@ -360,6 +376,8 @@ let () =
           t "targets dependencies" test_adversarial_targets_dependencies;
           t "never disconnects" test_adversarial_never_disconnects;
           t "hurts baselines more" test_adversary_hurts_baselines_more;
+          Alcotest.test_case "flight record clean" `Slow
+            test_adversarial_trace_clean;
         ] );
       ( "events",
         [ t "degenerate CLI schedule" test_events_to_failures ] );
@@ -367,8 +385,6 @@ let () =
       ( "determinism",
         [
           t "generation at -j1 = -j8" test_generation_deterministic_vs_jobs;
-          t "run serial = --regions 2" test_run_deterministic_vs_regions;
-          t "sharded run at -j1 = -j8" test_run_deterministic_vs_jobs;
           t "fixture" test_fixture_matches;
         ] );
     ]

@@ -355,8 +355,6 @@ let test_partition_single_region () =
     p.Topo.Partition.region_of;
   Alcotest.(check (list int)) "no cut links" [] p.Topo.Partition.cut_links;
   Alcotest.(check (float 0.0)) "cut ratio 0" 0.0 p.Topo.Partition.cut_ratio;
-  Alcotest.(check bool) "infinite lookahead" true
-    (p.Topo.Partition.lookahead = infinity);
   Alcotest.(check bool) "valid" true
     (Topo.Partition.validate p g = Ok ())
 
@@ -374,8 +372,6 @@ let test_partition_net15 () =
   let p = Topo.Partition.make g ~regions:2 in
   Alcotest.(check bool) "valid" true (Topo.Partition.validate p g = Ok ());
   Alcotest.(check bool) "has cut links" true (p.Topo.Partition.cut_links <> []);
-  Alcotest.(check bool) "positive finite lookahead" true
-    (p.Topo.Partition.lookahead > 0.0 && p.Topo.Partition.lookahead < infinity);
   Alcotest.(check bool) "ratio in (0,1]" true
     (p.Topo.Partition.cut_ratio > 0.0 && p.Topo.Partition.cut_ratio <= 1.0)
 
