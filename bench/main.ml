@@ -39,13 +39,22 @@ let plan_full = Kar.Controller.scenario_plan Topo.Nets.net15 Kar.Controller.Full
 let net15 = Topo.Nets.net15
 let rnp = Topo.Nets.rnp28
 
-let port_states_of g v =
-  Array.init (Topo.Graph.degree g v) (fun p ->
-      let link = Topo.Graph.link_at g v p in
-      let far = (Topo.Graph.other_end link v).Topo.Graph.node in
-      { Kar.Policy.up = true; to_host = not (Topo.Graph.is_core g far) })
+let sw13_live =
+  Array.make
+    (Topo.Graph.degree net15.Topo.Nets.graph
+       (Topo.Graph.node_of_label net15.Topo.Nets.graph 13))
+    true
 
-let sw13_ports = port_states_of net15.Topo.Nets.graph (Topo.Graph.node_of_label net15.Topo.Nets.graph 13)
+(* One NIP hop at SW13 as Karnet runs it: step, then a draw if the choice
+   deflects. *)
+let forward_nip ~computed rng =
+  let c =
+    Kar.Policy.step Kar.Policy.Not_input_port ~computed ~in_port:0
+      ~deflected:false ~live:sw13_live
+  in
+  if c >= 0 then c
+  else if c = Kar.Policy.stuck then -1
+  else Kar.Policy.draw ~live:sw13_live ~exclude:(Kar.Policy.excluded c) rng
 
 let fail_links = List.map (fun fc -> fc.Topo.Nets.link) net15.Topo.Nets.failures
 
@@ -77,39 +86,20 @@ let tests =
       (Staged.stage (fun () ->
            Z.to_int_exn (Z.erem plan_full.Kar.Route.route_id (Z.of_int 13))));
     Test.make ~name:"kar/residue-cache-lookup"
-      (Staged.stage (fun () ->
-           Kar.Route.cached_port plan_full
-             ~route_id:plan_full.Kar.Route.route_id ~switch_id:13));
+      (Staged.stage (fun () -> Kar.Route.port plan_full ~switch_id:13));
     Test.make ~name:"rns/extend-1-residue"
       (Staged.stage (fun () ->
            Rns.extend ~route_id:plan_full.Kar.Route.route_id
              ~modulus:plan_full.Kar.Route.modulus
              [ { Rns.modulus = 59; value = 1 } ]));
     (* forwarding decision (per-packet cost of a KAR switch): the
-       zero-allocation fast path Karnet actually runs — residue-cache
-       lookup + packed-int decision *)
+       zero-allocation fast path Karnet actually runs, residue-cache
+       lookup + step *)
     Test.make ~name:"kar/forward-nip"
       (Staged.stage
          (let rng = Util.Prng.of_int 9 in
-          let route_id = plan_full.Kar.Route.route_id in
           fun () ->
-            let c = Kar.Route.cached_port plan_full ~route_id ~switch_id:13 in
-            Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-              ~deflected:false ~ports:sw13_ports rng));
-    (* the boxed compatibility wrapper (what Walk/Markov callers use) *)
-    Test.make ~name:"kar/forward-nip-compat"
-      (Staged.stage
-         (let rng = Util.Prng.of_int 9 in
-          let packet =
-            {
-              Kar.Policy.route_id = plan_full.Kar.Route.route_id;
-              in_port = 0;
-              deflected = false;
-            }
-          in
-          fun () ->
-            Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13
-              ~ports:sw13_ports ~packet rng));
+            forward_nip ~computed:(Kar.Route.port plan_full ~switch_id:13) rng));
     (* flat wire image: stamping a pooled buffer and the two data-plane
        reads that replace record access on the hot path *)
     Test.make ~name:"wire/flat-stamp"
@@ -382,11 +372,8 @@ let forward_minor_words_per_packet ~iters =
     let buf = Netsim.Packet.bytes p in
     for hop = 0 to 3 do
       Netsim.Packet.set_hops p hop;
-      let c = Kar.Route.cached_port_flat plan_full buf ~switch_id:13 in
-      ignore
-        (Sys.opaque_identity
-           (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-              ~deflected:false ~ports:sw13_ports rng))
+      let computed = Kar.Route.cached_port_flat plan_full buf ~switch_id:13 in
+      ignore (Sys.opaque_identity (forward_nip ~computed rng))
     done;
     Netsim.Packet.Pool.release pool p
   done;

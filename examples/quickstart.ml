@@ -12,16 +12,13 @@ module Z = Bignum.Z
 module Graph = Topo.Graph
 
 let trace_walk g plan ~failed ~src ~dst ~seed =
-  (* Follow one packet with the NIP data plane, printing each hop. *)
+  (* Follow one packet with the NIP data plane, printing each hop.  Each
+     switch runs [Policy.step]: take the computed port, draw among the live
+     ports, or drop. *)
   let rng = Util.Prng.of_int seed in
-  let port_states v =
+  let live v =
     Array.init (Graph.degree g v) (fun p ->
-        let link = Graph.link_at g v p in
-        let far = (Graph.other_end link v).Graph.node in
-        {
-          Kar.Policy.up = not (List.mem link.Graph.id failed);
-          to_host = not (Graph.is_core g far);
-        })
+        not (List.mem (Graph.link_at g v p).Graph.id failed))
   in
   let entry = (Graph.other_end (Graph.link_at g src 0) src).Graph.node in
   let entry_port = (Graph.other_end (Graph.link_at g src 0) src).Graph.port in
@@ -31,18 +28,24 @@ let trace_walk g plan ~failed ~src ~dst ~seed =
     else if budget = 0 then print_endline "  ... (truncated)"
     else begin
       Printf.printf " -> SW%d" (Graph.label g v);
-      let packet =
-        { Kar.Policy.route_id = plan.Kar.Route.route_id; in_port; deflected }
+      let policy = Kar.Policy.Not_input_port in
+      let live = live v in
+      let computed =
+        Kar.Policy.computed_port ~switch_id:(Graph.label g v)
+          ~route_id:plan.Kar.Route.route_id
       in
-      let decision, deflected' =
-        Kar.Policy.forward Kar.Policy.Not_input_port
-          ~switch_id:(Graph.label g v) ~ports:(port_states v) ~packet rng
-      in
-      match decision with
-      | Kar.Policy.Drop -> print_endline "  (dropped)"
-      | Kar.Policy.Forward port ->
+      let c = Kar.Policy.step policy ~computed ~in_port ~deflected ~live in
+      if c = Kar.Policy.stuck then print_endline "  (dropped)"
+      else begin
+        let port =
+          if c >= 0 then c
+          else Kar.Policy.draw ~live ~exclude:(Kar.Policy.excluded c) rng
+        in
         let far = Graph.other_end (Graph.link_at g v port) v in
-        step far.Graph.node far.Graph.port deflected' (budget - 1)
+        step far.Graph.node far.Graph.port
+          (deflected || Kar.Policy.deflects policy c)
+          (budget - 1)
+      end
     end
   in
   step entry entry_port false 16

@@ -58,9 +58,10 @@ type target =
 let analyze g ~plan ~policy ~failed ~src ~dst =
   if Graph.is_core g src then invalid_arg "Markov.analyze: src must be an edge node";
   let link_down id = List.mem id failed in
-  (* State indexing: (node, in_port, deflected) for core nodes. *)
+  (* State indexing: (node, in_port, deflected) for core nodes, numbered in
+     discovery order; [keys] maps a number back to its state. *)
   let index = Hashtbl.create 256 in
-  let states = ref [] in
+  let keys = Hashtbl.create 256 in
   let n_states = ref 0 in
   let state_id node port defl =
     let key = (node, port, defl) in
@@ -69,7 +70,7 @@ let analyze g ~plan ~policy ~failed ~src ~dst =
     | None ->
       let i = !n_states in
       Hashtbl.replace index key i;
-      states := key :: !states;
+      Hashtbl.replace keys i key;
       incr n_states;
       i
   in
@@ -82,52 +83,31 @@ let analyze g ~plan ~policy ~failed ~src ~dst =
     else if not (Graph.is_core g u) then Absorb_stranded
     else To (state_id u far.Graph.port defl)
   in
-  (* The forwarding distribution at a state: list of (probability, target).
-     Mirrors Policy.forward exactly; Test suite cross-checks against the
-     Monte-Carlo walker. *)
+  (* The forwarding distribution at a state, a decode of [Policy.step]:
+     Take is one exit with the flag kept, Draw a uniform split over its
+     candidates with the flag set, Stuck a drop. *)
   let distribution (v, in_port, defl) =
-    let switch_id = Graph.label g v in
     let deg = Graph.degree g v in
-    let healthy p = not (link_down (Graph.link_at g v p).Graph.id) in
-    let all_healthy = List.filter healthy (List.init deg (fun p -> p)) in
+    let live =
+      Array.init deg (fun p -> not (link_down (Graph.link_at g v p).Graph.id))
+    in
     let c =
-      Policy.computed_port ~switch_id ~route_id:plan.Route.route_id
+      Policy.step policy
+        ~computed:
+          (Policy.computed_port ~switch_id:(Graph.label g v)
+             ~route_id:plan.Route.route_id)
+        ~in_port ~deflected:defl ~live
     in
-    let computed_usable = c < deg && healthy c in
-    let uniform targets defl' =
-      let k = List.length targets in
-      List.map (fun p -> (1.0 /. float_of_int k, classify_exit v p defl')) targets
-    in
-    match policy with
-    | Policy.No_deflection ->
-      if computed_usable then [ (1.0, classify_exit v c defl) ]
-      else [ (1.0, Absorb_dropped) ]
-    | Policy.Hot_potato ->
-      if defl then
-        (match all_healthy with
-         | [] -> [ (1.0, Absorb_dropped) ]
-         | ps -> uniform ps true)
-      else if computed_usable then [ (1.0, classify_exit v c false) ]
-      else
-        (match all_healthy with
-         | [] -> [ (1.0, Absorb_dropped) ]
-         | ps -> uniform ps true)
-    | Policy.Any_valid_port ->
-      if computed_usable then [ (1.0, classify_exit v c defl) ]
-      else
-        (match all_healthy with
-         | [] -> [ (1.0, Absorb_dropped) ]
-         | ps -> uniform ps true)
-    | Policy.Not_input_port ->
-      if computed_usable && c <> in_port then [ (1.0, classify_exit v c defl) ]
-      else begin
-        match List.filter (fun p -> p <> in_port) all_healthy with
-        | [] ->
-          if in_port < deg && in_port >= 0 && healthy in_port then
-            [ (1.0, classify_exit v in_port true) ]
-          else [ (1.0, Absorb_dropped) ]
-        | ps -> uniform ps true
-      end
+    if c >= 0 then [ (1.0, classify_exit v c defl) ]
+    else if c = Policy.stuck then [ (1.0, Absorb_dropped) ]
+    else begin
+      let exclude = Policy.excluded c in
+      let candidates =
+        List.filter (fun p -> live.(p) && p <> exclude) (List.init deg Fun.id)
+      in
+      let share = 1.0 /. float_of_int (List.length candidates) in
+      List.map (fun p -> (share, classify_exit v p true)) candidates
+    end
   in
   (* Entry: the packet leaves [src] by its first healthy port. *)
   let entry =
@@ -150,12 +130,11 @@ let analyze g ~plan ~policy ~failed ~src ~dst =
       expected_hops_delivered = nan;
     }
   | Some start ->
-    (* Explore reachable states breadth-first, memoising distributions. *)
+    (* Explore reachable states depth-first, memoising distributions. *)
     let dists : (int, (float * target) list) Hashtbl.t = Hashtbl.create 256 in
     let rec explore i =
       if not (Hashtbl.mem dists i) then begin
-        let key = List.nth (List.rev !states) i in
-        let dist = distribution key in
+        let dist = distribution (Hashtbl.find keys i) in
         Hashtbl.replace dists i dist;
         List.iter (function _, To j -> explore j | _ -> ()) dist
       end

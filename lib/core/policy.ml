@@ -21,150 +21,59 @@ let of_string = function
   | "nip" -> Some Not_input_port
   | _ -> None
 
-type port_state = { up : bool; to_host : bool }
-
-type decision =
-  | Forward of int
-  | Drop
-
-type packet_view = { route_id : Z.t; in_port : int; deflected : bool }
-
 let computed_port ~switch_id ~route_id = Z.rem_int route_id switch_id
 
 (* Same kernel over a flat packet image: the remainder fold runs directly on
    the buffer's limb words, no Z.t in sight. *)
 let computed_port_flat ~switch_id buf = Wire.Flat.rem_route_id buf switch_id
 
-(* Packed forwarding decision: the steady-state data plane must not touch
-   the minor heap, so [decide] returns port and deflected-flag in one
-   immediate int instead of a (decision * bool) pair.  Port -1 encodes
-   Drop; the +1 bias keeps the packed value non-negative. *)
-let code ~port ~deflected = ((port + 1) lsl 1) lor (if deflected then 1 else 0)
-let code_port c = (c lsr 1) - 1
-let code_deflected c = c land 1 = 1
+(* The choice is one immediate int so the packet path never touches the
+   minor heap: a Take is the port itself, a Draw excluding port [e] (-1:
+   none) is [-2 - e], and Stuck is [min_int], below every Draw. *)
+let stuck = min_int
+let draw_excluding e = -2 - e
+let excluded c = -2 - c
 
-(* Uniform draw over the healthy ports (for NIP, minus the input port),
-   straight off the [ports] array: count the candidates, draw one index,
-   select it — no candidate list, no [List.nth].  [exclude = -1] excludes
-   nothing.  Consumes exactly one PRNG draw when there are >= 2 candidates
-   and none otherwise ([Prng.int _ 1] short-circuits), draw-for-draw
-   identical to the list-based pick it replaces, so seeded traces are
-   unchanged.  Returns the port, or -1 when no candidate is healthy. *)
-let draw_healthy ports ~exclude rng =
-  let n = Array.length ports in
+let any_live live ~exclude =
+  let n = Array.length live in
+  let rec go p = p < n && ((live.(p) && p <> exclude) || go (p + 1)) in
+  go 0
+
+let draw_or_stuck live ~exclude =
+  if any_live live ~exclude then draw_excluding exclude else stuck
+
+let step policy ~computed:c ~in_port ~deflected ~live =
+  let usable = c >= 0 && c < Array.length live && live.(c) in
+  match policy with
+  | No_deflection -> if usable then c else stuck
+  | Hot_potato ->
+    if usable && not deflected then c else draw_or_stuck live ~exclude:(-1)
+  | Any_valid_port -> if usable then c else draw_or_stuck live ~exclude:(-1)
+  | Not_input_port ->
+    if usable && c <> in_port then c
+    else if any_live live ~exclude:in_port then draw_excluding in_port
+    else
+      (* Degree-one dead end: the paper's Algorithm 1 would spin forever;
+         the packet goes back where it came from.  No port but the input
+         port is live, so this is a draw over that one port, or Stuck. *)
+      draw_or_stuck live ~exclude:(-1)
+
+(* Every policy but No_deflection marks the packet deflected whenever the
+   computed port is not taken, a drop included. *)
+let deflects policy c = c < 0 && policy <> No_deflection
+
+(* Count the candidates, draw one index, select it in ascending port order:
+   no candidate list.  [Util.Prng.int _ 1] consumes no draw, so a singleton
+   candidate set leaves the stream untouched. *)
+let draw ~live ~exclude rng =
+  let n = Array.length live in
   let rec count p acc =
     if p >= n then acc
-    else count (p + 1) (if ports.(p).up && p <> exclude then acc + 1 else acc)
+    else count (p + 1) (if live.(p) && p <> exclude then acc + 1 else acc)
   in
-  match count 0 0 with
-  | 0 -> -1
-  | k ->
-    let rec nth p remaining =
-      if ports.(p).up && p <> exclude then
-        if remaining = 0 then p else nth (p + 1) (remaining - 1)
-      else nth (p + 1) remaining
-    in
-    nth 0 (Util.Prng.int rng k)
-
-let decide policy ~computed:c ~in_port ~deflected ~ports rng =
-  let n_ports = Array.length ports in
-  let computed_usable = c < n_ports && ports.(c).up in
-  match policy with
-  | No_deflection ->
-    if computed_usable then code ~port:c ~deflected else code ~port:(-1) ~deflected
-  | Hot_potato ->
-    if deflected then code ~port:(draw_healthy ports ~exclude:(-1) rng) ~deflected:true
-    else if computed_usable then code ~port:c ~deflected:false
-    else code ~port:(draw_healthy ports ~exclude:(-1) rng) ~deflected:true
-  | Any_valid_port ->
-    if computed_usable then code ~port:c ~deflected
-    else code ~port:(draw_healthy ports ~exclude:(-1) rng) ~deflected:true
-  | Not_input_port ->
-    if computed_usable && c <> in_port then code ~port:c ~deflected
-    else begin
-      match draw_healthy ports ~exclude:in_port rng with
-      | -1 ->
-        (* Degree-one dead end: the paper's Algorithm 1 would spin forever;
-           we send the packet back where it came from if that port is up. *)
-        code
-          ~port:
-            (if in_port >= 0 && in_port < n_ports && ports.(in_port).up then
-               in_port
-             else -1)
-          ~deflected:true
-      | port -> code ~port ~deflected:true
-    end
-
-(* The symbolic mirror of [decide]: instead of drawing one candidate, name
-   the full decision — the computed port taken deterministically, the exact
-   candidate set a deflection draw ranges over, or a dead end.  The plan
-   compiler ([Kar_verify.Compiler]) lowers switches through this, and the
-   differential test in test_verify pins it draw-for-draw to [decide]:
-   [Take p] iff [decide] returns [p] with the flag preserved, [Pick m] iff
-   [decide] returns a member of [m] with the flag set, [Stuck] iff [decide]
-   drops. *)
-type choice =
-  | Take of int
-  | Pick of int
-  | Stuck
-
-let healthy_mask ~degree ~up ~exclude =
-  let rec go p acc =
-    if p >= degree then acc
-    else go (p + 1) (if up p && p <> exclude then acc lor (1 lsl p) else acc)
+  let rec nth p remaining =
+    if live.(p) && p <> exclude then
+      if remaining = 0 then p else nth (p + 1) (remaining - 1)
+    else nth (p + 1) remaining
   in
-  go 0 0
-
-let enumerate policy ~computed:c ~in_port ~deflected ~degree ~up =
-  let computed_usable = c >= 0 && c < degree && up c in
-  let pick_or_stuck mask = if mask = 0 then Stuck else Pick mask in
-  match policy with
-  | No_deflection -> if computed_usable then Take c else Stuck
-  | Hot_potato ->
-    if deflected then pick_or_stuck (healthy_mask ~degree ~up ~exclude:(-1))
-    else if computed_usable then Take c
-    else pick_or_stuck (healthy_mask ~degree ~up ~exclude:(-1))
-  | Any_valid_port ->
-    if computed_usable then Take c
-    else pick_or_stuck (healthy_mask ~degree ~up ~exclude:(-1))
-  | Not_input_port ->
-    if computed_usable && c <> in_port then Take c
-    else begin
-      match healthy_mask ~degree ~up ~exclude:in_port with
-      | 0 ->
-        (* Degree-one dead end: [decide] bounces the packet back through
-           its input port when that port is up — a forced singleton
-           choice, not a computed forward. *)
-        if in_port >= 0 && in_port < degree && up in_port then
-          Pick (1 lsl in_port)
-        else Stuck
-      | mask -> Pick mask
-    end
-
-(* Could [forward] have returned [port] via the modulo computation rather
-   than a random draw?  Decidable after the fact because every random draw
-   is constrained: HP random-walks deflected packets regardless of the
-   computed port, and NIP never re-emits the computed port when it equals
-   the input port.  Used by the flight recorder to classify decisions
-   without touching the hot path. *)
-let via_computed_port policy ~computed:c ~in_port ~deflected ~port =
-  port = c
-  && (match policy with
-      | No_deflection -> true
-      | Hot_potato -> not deflected
-      | Any_valid_port -> true
-      | Not_input_port -> c <> in_port)
-
-let via_computed policy ~switch_id ~(packet : packet_view) ~port =
-  via_computed_port policy
-    ~computed:(computed_port ~switch_id ~route_id:packet.route_id)
-    ~in_port:packet.in_port ~deflected:packet.deflected ~port
-
-let forward policy ~switch_id ~ports ~packet rng =
-  let c = computed_port ~switch_id ~route_id:packet.route_id in
-  let d =
-    decide policy ~computed:c ~in_port:packet.in_port
-      ~deflected:packet.deflected ~ports rng
-  in
-  let port = code_port d in
-  ((if port < 0 then Drop else Forward port), code_deflected d)
+  nth 0 (Util.Prng.int rng (count 0 0))

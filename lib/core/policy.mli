@@ -1,15 +1,17 @@
 (** KAR data-plane forwarding: the modulo computation and the three
     deflection techniques of section 2.1.
 
-    A KAR core switch is stateless: the forwarding decision is a pure
-    function of the packet's route ID, the switch's own ID, the input port,
-    the liveness of the local ports — plus a random draw when deflecting.
-    The only per-packet state is the [deflected] flag that Hot-Potato needs
-    ("once a packet is deflected, it follows a complete random path").
+    A KAR core switch is stateless.  {!step} is the one definition of a
+    hop: a pure function of the computed port [<R>_s], the input port, the
+    liveness of the local ports and the packet's [deflected] flag (the only
+    per-packet state, which Hot-Potato needs: "once a packet is deflected,
+    it follows a complete random path").  When the answer is a deflection,
+    {!draw} samples it.  The simulator's switches, the Monte-Carlo walker,
+    the exact Markov analysis and the plan compiler all decode {!step}.
 
-    Deflection picks uniformly among {e all healthy} ports (for NIP, minus
+    A deflection picks uniformly among {e all live} ports (for NIP, minus
     the input port).  A deflection into an edge node strands the packet
-    there; the edge then asks the controller for a fresh route ID — the
+    there; the edge then asks the controller for a fresh route ID, the
     paper's second edge-handling approach, used in all its tests.  The port
     selected by the modulo computation is always honoured wherever it
     points; delivery to the egress host works through it. *)
@@ -20,7 +22,7 @@ type t =
           "no deflection" curve in Fig. 4) *)
   | Hot_potato
       (** HP: first unusable computed port marks the packet deflected;
-          deflected packets random-walk over healthy ports *)
+          deflected packets random-walk over live ports *)
   | Any_valid_port
       (** AVP: always recompute the modulo; random pick (including the
           input port) only when the computed port is unusable *)
@@ -32,97 +34,6 @@ val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 
-(** Liveness and orientation of one local port. *)
-type port_state = {
-  up : bool; (** link currently usable *)
-  to_host : bool; (** far end is an edge node *)
-}
-
-type decision =
-  | Forward of int (** output port index *)
-  | Drop
-
-(** What the switch needs to know about the packet in flight. *)
-type packet_view = {
-  route_id : Bignum.Z.t;
-  in_port : int;
-  deflected : bool;
-}
-
-(** [forward policy ~switch_id ~ports ~packet rng] is the forwarding
-    decision and the packet's updated [deflected] flag.  [ports.(p)]
-    describes local port [p]; [rng] is only consulted on deflection, so
-    failure-free forwarding is deterministic.
-
-    This is a convenience wrapper over {!decide} that allocates its result;
-    per-packet hot paths (the simulator's switch handler) call {!decide}
-    directly and stay off the heap. *)
-val forward :
-  t ->
-  switch_id:int ->
-  ports:port_state array ->
-  packet:packet_view ->
-  Util.Prng.t ->
-  decision * bool
-
-(** {2 Allocation-free fast path}
-
-    [decide policy ~computed ~in_port ~deflected ~ports rng] is the same
-    forwarding decision with the modulo result supplied by the caller
-    (either {!computed_port} or a per-plan residue-table lookup, see
-    [Kar.Route.cached_port]) and the result packed into an immediate int:
-    {!code_port} is the output port (-1 = drop) and {!code_deflected} the
-    packet's updated deflected flag.  The steady-state path (computed port
-    healthy) performs no minor-heap allocation; the deflection draw samples
-    the healthy ports directly off the [ports] array, consuming the PRNG
-    stream draw-for-draw identically to the candidate-list implementation
-    it replaced (seeded traces are unchanged). *)
-val decide :
-  t ->
-  computed:int ->
-  in_port:int ->
-  deflected:bool ->
-  ports:port_state array ->
-  Util.Prng.t ->
-  int
-
-val code_port : int -> int
-val code_deflected : int -> bool
-
-(** {2 Symbolic decisions}
-
-    The plan compiler ({!Kar_verify.Compiler}) needs the forwarding
-    decision as a {e set}, not a sample: which port is taken
-    deterministically, or exactly which candidates a deflection draw
-    ranges over.  [enumerate] is that mirror of {!decide}; the
-    differential test suite pins the two together for every policy, mask,
-    input port and deflected flag. *)
-type choice =
-  | Take of int
-      (** the computed port, taken deterministically; the deflected flag
-          is preserved *)
-  | Pick of int
-      (** a uniform draw over the ports in this bitmask (bit [p] = port
-          [p]); the packet's deflected flag becomes [true].  Includes
-          NIP's forced bounce through the input port as the singleton
-          case. *)
-  | Stuck  (** no usable port: {!decide} drops *)
-
-(** [enumerate policy ~computed ~in_port ~deflected ~degree ~up] is the
-    symbolic forwarding decision at a switch of [degree] ports whose
-    liveness is [up].  Agrees with {!decide} pointwise: [Take p] iff
-    [decide] returns [p] without consulting the PRNG, [Pick m] iff
-    [decide]'s result is a uniform draw over exactly the ports in [m],
-    [Stuck] iff [decide] drops. *)
-val enumerate :
-  t ->
-  computed:int ->
-  in_port:int ->
-  deflected:bool ->
-  degree:int ->
-  up:(int -> bool) ->
-  choice
-
 (** [computed_port ~switch_id ~route_id] is the raw modulo result
     [<R>_s] (which may not name an existing port), via the remainder-only
     kernel {!Bignum.Z.rem_int}. *)
@@ -133,17 +44,39 @@ val computed_port : switch_id:int -> route_id:Bignum.Z.t -> int
     buffer's route-ID limb words, allocating nothing. *)
 val computed_port_flat : switch_id:int -> Bytes.t -> int
 
-(** [via_computed policy ~switch_id ~packet ~port] — given that [forward]
-    chose [port] for [packet], was that the modulo computation rather than
-    a random deflection draw?  Sound because every policy's random draw is
-    constrained away from the computed port in the relevant state (HP
-    random-walks deflected packets; NIP excludes the input port).  Used by
-    the flight recorder to classify decisions offline. *)
-val via_computed :
-  t -> switch_id:int -> packet:packet_view -> port:int -> bool
+(** {2 The forwarding step} *)
 
-(** [via_computed_port] is {!via_computed} with the modulo result already
-    in hand — the form used next to {!decide}, where the computed port was
-    a cached-table lookup and need not be recomputed. *)
-val via_computed_port :
-  t -> computed:int -> in_port:int -> deflected:bool -> port:int -> bool
+(** [step policy ~computed ~in_port ~deflected ~live] is the switch's
+    choice for a packet whose modulo answer is [computed], arriving on
+    [in_port] ([-1]: local injection), at a switch whose port [p] is usable
+    iff [live.(p)].  The choice is an immediate int with three cases:
+    - {b Take}: [c >= 0], forward on port [c] (the computed port); the
+      deflected flag is kept.
+    - {b Draw}: [c < 0] and [c <> stuck], a uniform draw ({!draw}) over the
+      live ports other than [excluded c].  For NIP the input port is
+      excluded, unless it is the only live port (the dead-end bounce).  The
+      candidate set is never empty.
+    - {b Stuck}: [c = stuck], drop.
+
+    Allocation-free. *)
+val step :
+  t -> computed:int -> in_port:int -> deflected:bool -> live:bool array -> int
+
+(** The Stuck choice. *)
+val stuck : int
+
+(** [excluded c] is the port a Draw choice [c] leaves out of the draw, or
+    [-1] when every live port is a candidate. *)
+val excluded : int -> int
+
+(** [deflects policy c] is whether choice [c] sets the packet's deflected
+    flag: every Draw does, and so does a Stuck drop under every policy but
+    No_deflection.  A Take keeps the flag as it was. *)
+val deflects : t -> int -> bool
+
+(** [draw ~live ~exclude rng] samples a Draw: it counts the live ports
+    other than [exclude], takes one [Util.Prng.int] of that count and picks
+    that candidate in ascending port order.  A single candidate consumes no
+    PRNG draw.  Allocation-free.
+    @raise Invalid_argument when there is no candidate. *)
+val draw : live:bool array -> exclude:int -> Util.Prng.t -> int

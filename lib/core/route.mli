@@ -20,7 +20,7 @@ type plan = {
           [residue_ports.(switch_id)] is the plan's port at that switch, or
           [-1] when the switch carries no residue.  Rebuilt whenever the
           plan is re-encoded ({!protect}, [Rns.extend]); read through
-          {!cached_port} on the data plane. *)
+          {!port} and {!cached_port_flat}. *)
 }
 
 type error =
@@ -70,30 +70,18 @@ val of_labels_exn : Topo.Graph.t -> int list -> egress_label:int -> plan
 
 val protect_exn : Topo.Graph.t -> plan -> (int * int) list -> plan
 
-(** [cached_port plan ~route_id ~switch_id] is the data-plane forwarding
-    answer with the residue cache in front of the modulo kernel: when
-    [route_id] is the plan's own ID and [switch_id] carries a residue, one
-    int-array read; otherwise (stray switch, or a packet re-encoded at an
-    edge with a fresh route ID) it falls back to
-    [Policy.computed_port].  Always equal to [<route_id>_switch_id]. *)
-val cached_port : plan -> route_id:Z.t -> switch_id:int -> int
+(** [port plan ~switch_id] is [<R>_s] for the plan's own route ID: the
+    residue cache when the switch carries a residue, the remainder kernel
+    otherwise (a stray switch off the plan).  This is the control-plane
+    read; the packet path reads {!cached_port_flat}. *)
+val port : plan -> switch_id:int -> int
 
-(** [cached_port_flat plan buf ~switch_id] is {!cached_port} over a
-    {!Wire.Flat} packet image: the cache guard compares the buffer's limb
-    words against the plan's route ID (no pointer identity on flat buffers),
-    falling back to the in-place remainder fold on a miss.  Allocation-free
-    either way. *)
+(** [cached_port_flat plan buf ~switch_id] is [<R>_s] for the route ID in
+    the {!Wire.Flat} packet image [buf], answered from the plan's residue
+    cache when [buf] carries the plan's own route ID and the switch carries
+    a residue, by the in-place remainder fold otherwise (e.g. a packet
+    re-encoded at an edge).  Allocation-free either way. *)
 val cached_port_flat : plan -> Bytes.t -> switch_id:int -> int
-
-(** [residue_table plan] is the plan's switch-to-port map as a function:
-    the cached port for switches in the plan, the computed [<R>_s] (for the
-    plan's own route ID) otherwise. *)
-val residue_table : plan -> int -> int
-
-(** [next_hop g plan v] is the port switch [v] will compute for this plan's
-    route ID ([<R>_s]), whether or not [v] is in the plan — useful for
-    predicting where stray packets go. *)
-val next_hop : plan -> switch_id:int -> int
 
 (** [verify g plan] checks the invariant that every residue in the plan is
     recovered by the modulo operation ([<R>_{s_i} = p_i], Eq. 3); returns

@@ -28,17 +28,20 @@ let install_switches ?plan net ~policy ~seed =
         if hops > Net.ttl net then
           Net.drop ~at:v ~in_port net packet Net.Ttl_exceeded
         else begin
-          let ports = Net.port_states net v in
+          let live = Net.live_ports net v in
           let was_deflected = Packet.deflected packet in
           let c = computed_for (Packet.bytes packet) in
-          (* Steady state (computed port healthy, no recorder): everything
+          (* Steady state (computed port live, no recorder): everything
              from here to [Net.send] stays off the minor heap. *)
-          let d =
-            Kar.Policy.decide policy ~computed:c ~in_port
-              ~deflected:was_deflected ~ports rng
+          let choice =
+            Kar.Policy.step policy ~computed:c ~in_port
+              ~deflected:was_deflected ~live
           in
-          let port = Kar.Policy.code_port d in
-          let deflected = Kar.Policy.code_deflected d in
+          let port =
+            if choice >= 0 then choice
+            else if choice = Kar.Policy.stuck then -1
+            else Kar.Policy.draw ~live ~exclude:(Kar.Policy.excluded choice) rng
+          in
           (* Flight recorder: classify the decision (computed forward,
              random deflection, or driven deflection) and tally it.  Only
              entered with a recorder attached, so the default path pays
@@ -46,10 +49,7 @@ let install_switches ?plan net ~policy ~seed =
           (match Net.recorder net with
            | Some r when port >= 0 ->
              let action =
-               Trace.Event.decision_action
-                 ~via_computed:
-                   (Kar.Policy.via_computed_port policy ~computed:c ~in_port
-                      ~deflected:was_deflected ~port)
+               Trace.Event.decision_action ~via_computed:(choice >= 0)
                  ~deflected:was_deflected
                  ~protected_:(Trace.Recorder.is_protected r switch_id)
                  ~policy:(Kar.Policy.to_string policy)
@@ -61,7 +61,7 @@ let install_switches ?plan net ~policy ~seed =
              Net.record_event net ~switch:switch_id ~in_port ~out_port:port
                packet action
            | _ -> ());
-          if deflected && not was_deflected then begin
+          if Kar.Policy.deflects policy choice && not was_deflected then begin
             Net.count_deflection net;
             Log.debug (fun m ->
                 m "SW%d deflected %a (in port %d)" switch_id Packet.pp packet

@@ -71,7 +71,7 @@ type t = {
   channels : channel array array; (* channels.(link).(dir) *)
   out_channel : channel array array; (* out_channel.(node).(port) *)
   handlers : handler option array;
-  port_cache : Kar.Policy.port_state array array;
+  live : bool array array; (* live.(node).(port), as the data plane sees it *)
   engine : Engine.t;
   registry : Registry.t;
   counters : counters;
@@ -145,13 +145,6 @@ let build_channels graph =
   in
   (channels, out_channel)
 
-let build_port_cache graph =
-  Array.init (Graph.n_nodes graph) (fun v ->
-      Array.init (Graph.degree graph v) (fun p ->
-          let link = Graph.link_at graph v p in
-          let far = (Graph.other_end link v).Graph.node in
-          { Kar.Policy.up = true; to_host = not (Graph.is_core graph far) }))
-
 let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     ?(ttl = 128) ?(detection_delay_s = 0.0) () =
   let n_links = Graph.n_links graph in
@@ -175,7 +168,9 @@ let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     channels;
     out_channel;
     handlers = Array.make n_nodes None;
-    port_cache = build_port_cache graph;
+    live =
+      Array.init (Graph.n_nodes graph) (fun v ->
+          Array.make (Graph.degree graph v) true);
     engine;
     registry;
     counters;
@@ -372,9 +367,7 @@ let schedule_admin net ~at f = ignore (Engine.schedule_at net.engine at f)
 let set_cached_up net id value =
   let link = Graph.link net.graph id in
   List.iter
-    (fun ep ->
-      let states = net.port_cache.(ep.Graph.node) in
-      states.(ep.Graph.port) <- { (states.(ep.Graph.port)) with Kar.Policy.up = value })
+    (fun ep -> net.live.(ep.Graph.node).(ep.Graph.port) <- value)
     [ link.Graph.ep0; link.Graph.ep1 ]
 
 (* Liveness as the data plane *sees* it lags physical state by the
@@ -418,7 +411,7 @@ let schedule_failure net id ~at ~duration =
   ignore (Engine.schedule_at net.engine at (fun () -> fail_link net id));
   ignore (Engine.schedule_at net.engine (at +. duration) (fun () -> repair_link net id))
 
-let port_states net node = net.port_cache.(node)
+let live_ports net node = net.live.(node)
 
 (* Setup-time code (e.g. a TCP flow's kickoff) enters the timeline here;
    a start time not in the future runs at once. *)

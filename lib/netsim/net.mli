@@ -176,9 +176,11 @@ val pool : t -> Packet.Pool.t
 (** Packets currently alive: [Packet.Pool.in_flight (pool net)]. *)
 val pool_in_flight : t -> int
 
-(** [port_states net node] is the current {!Kar.Policy.port_state} array of
-    [node] (liveness from the failure state, orientation from the graph). *)
-val port_states : t -> Topo.Graph.node -> Kar.Policy.port_state array
+(** [live_ports net node] is [node]'s port liveness as its switch sees
+    it: [(live_ports net node).(p)] is whether port [p]'s link is up, as of
+    the last failure detection.  The array is updated in place; this is
+    the [~live] argument of {!Kar.Policy.step}. *)
+val live_ports : t -> Topo.Graph.node -> bool array
 
 (** {2 Flight recorder}
 

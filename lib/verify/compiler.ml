@@ -46,35 +46,57 @@ let mask_of_failures g ~node ~failed =
   in
   go 0 0
 
+(* One live set per mask, reused across the mask's cells. *)
 let compile_switch g ~plan ~policy v =
   let switch_id = Graph.label g v in
   let degree = Graph.degree g v in
-  let primary =
-    Kar.Route.cached_port plan ~route_id:plan.Kar.Route.route_id ~switch_id
-  in
+  let primary = Kar.Route.port plan ~switch_id in
   let n_masks = 1 lsl degree in
   let actions = Array.make (n_masks * (degree + 1) * 2) Drop in
+  let live = Array.make degree false in
   for mask = 0 to n_masks - 1 do
-    let up p = mask land (1 lsl p) <> 0 in
+    for p = 0 to degree - 1 do
+      live.(p) <- mask land (1 lsl p) <> 0
+    done;
     for in_port = -1 to degree - 1 do
-      List.iter
-        (fun deflected ->
-          let a =
-            match
-              Kar.Policy.enumerate policy ~computed:primary ~in_port
-                ~deflected ~degree ~up
-            with
-            | Kar.Policy.Take p -> Forward p
-            | Kar.Policy.Pick m -> Deflect m
-            | Kar.Policy.Stuck -> Drop
-          in
-          actions.(slot ~degree ~mask ~in_port ~deflected) <- a)
-        [ false; true ]
+      for flag = 0 to 1 do
+        let deflected = flag = 1 in
+        let c =
+          Kar.Policy.step policy ~computed:primary ~in_port ~deflected ~live
+        in
+        actions.(slot ~degree ~mask ~in_port ~deflected) <-
+          (if c >= 0 then Forward c
+           else if c = Kar.Policy.stuck then Drop
+           else
+             match Kar.Policy.excluded c with
+             | -1 -> Deflect mask
+             | e -> Deflect (mask land lnot (1 lsl e)))
+      done
     done
   done;
   { node = v; switch_id; degree; primary; actions }
 
+exception Degree_too_large of { switch_id : int; degree : int }
+
+let max_degree = 12
+
+let () =
+  Printexc.register_printer (function
+    | Degree_too_large { switch_id; degree } ->
+      Some
+        (Printf.sprintf
+           "Compiler: switch %d has degree %d; compiled tables cover degree \
+            <= %d"
+           switch_id degree max_degree)
+    | _ -> None)
+
 let compile g ~plan ~policy =
+  List.iter
+    (fun v ->
+      let degree = Graph.degree g v in
+      if degree > max_degree then
+        raise (Degree_too_large { switch_id = Graph.label g v; degree }))
+    (Graph.core_nodes g);
   let tables = Array.make (Graph.n_nodes g) None in
   List.iter
     (fun v -> tables.(v) <- Some (compile_switch g ~plan ~policy v))

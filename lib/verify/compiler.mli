@@ -12,11 +12,15 @@
     finite structure; the exhaustive verifier ({!Verifier}) walks it as a
     finite-state reachability problem.
 
-    Faithfulness is not assumed: the differential suite in test_verify
-    checks the compiled action against {!Kar.Policy.decide} on the packed
-    fast path for every switch of both paper topologies and every mask
-    (and over qcheck-random plans), so the compiler is pinned to the data
-    plane it abstracts. *)
+    Each cell is a decode of {!Kar.Policy.step}, the same function the
+    simulator's switches run: Take is [Forward], Draw is [Deflect] over
+    its candidate mask, Stuck is [Drop].  The differential suite in
+    test_verify samples the data plane ({!Kar.Policy.step} and
+    {!Kar.Policy.draw}) against the compiled cells for every switch of both
+    paper topologies and every mask (and over qcheck-random plans).
+
+    A table has [2^degree * (degree + 1) * 2] cells, so {!compile} only
+    accepts switches of degree at most {!max_degree}. *)
 
 module Graph = Topo.Graph
 
@@ -47,8 +51,19 @@ type t = {
   tables : switch_table option array;  (** per node; [None] for edges *)
 }
 
+(** The largest core-switch degree {!compile} accepts: 12, a table of at
+    most 106 496 cells per switch.  The paper topologies (net15, rnp28)
+    stay well inside it. *)
+val max_degree : int
+
+(** Raised by {!compile} for a core switch (named by its label) whose
+    degree exceeds {!max_degree}. *)
+exception Degree_too_large of { switch_id : int; degree : int }
+
 (** [compile g ~plan ~policy] lowers the triple into per-switch tables for
-    every core switch of [g]. *)
+    every core switch of [g].
+    @raise Degree_too_large before allocating anything when a core switch
+    of [g] has more than {!max_degree} ports. *)
 val compile : Graph.t -> plan:Kar.Route.plan -> policy:Kar.Policy.t -> t
 
 (** [action_of st ~mask ~in_port ~deflected] looks up the compiled

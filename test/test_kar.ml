@@ -14,14 +14,22 @@ let rng () = Util.Prng.of_int 7
 
 (* --- Policy: exhaustive semantics on a synthetic 4-port switch --- *)
 
-let ports ?(down = []) ?(hosts = []) n =
-  Array.init n (fun p ->
-      { Kar.Policy.up = not (List.mem p down); to_host = List.mem p hosts })
+let live ?(down = []) n = Array.init n (fun p -> not (List.mem p down))
 
-let view ?(deflected = false) ~route_id ~in_port () =
-  { Kar.Policy.route_id = Z.of_int route_id; in_port; deflected }
-
-(* switch_id 13, route_id r: computed port = r mod 13 *)
+(* One hop as the data plane runs it at switch 13: [step] on the computed
+   port [route_id mod 13], then [draw] when the choice is a Draw.  Returns
+   the output port (-1: drop) and the packet's new deflected flag. *)
+let hop ?(deflected = false) policy ~live ~route_id ~in_port rng =
+  let c =
+    Kar.Policy.step policy ~computed:(route_id mod 13) ~in_port ~deflected
+      ~live
+  in
+  let port =
+    if c >= 0 then c
+    else if c = Kar.Policy.stuck then -1
+    else Kar.Policy.draw ~live ~exclude:(Kar.Policy.excluded c) rng
+  in
+  (port, deflected || Kar.Policy.deflects policy c)
 
 let test_computed_port () =
   Alcotest.(check int) "44 mod 4" 0 (Kar.Policy.computed_port ~switch_id:4 ~route_id:(Z.of_int 44));
@@ -29,113 +37,108 @@ let test_computed_port () =
   Alcotest.(check int) "660 mod 5" 0 (Kar.Policy.computed_port ~switch_id:5 ~route_id:(Z.of_int 660))
 
 let test_none_forwards_valid () =
-  let d, defl =
-    Kar.Policy.forward Kar.Policy.No_deflection ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
+  let port, defl =
+    hop Kar.Policy.No_deflection ~live:(live 4) ~route_id:2 ~in_port:0 (rng ())
   in
-  Alcotest.(check bool) "forward 2" true (d = Kar.Policy.Forward 2);
+  Alcotest.(check int) "forward 2" 2 port;
   Alcotest.(check bool) "not deflected" false defl
 
 let test_none_drops_invalid_port () =
   (* route_id 7 mod 13 = 7 >= 4 ports: invalid *)
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.No_deflection ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:7 ~in_port:0 ()) (rng ())
-  in
-  Alcotest.(check bool) "drop" true (d = Kar.Policy.Drop)
+  Alcotest.(check int) "drop" Kar.Policy.stuck
+    (Kar.Policy.step Kar.Policy.No_deflection ~computed:7 ~in_port:0
+       ~deflected:false ~live:(live 4))
 
 let test_none_drops_down_port () =
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.No_deflection ~switch_id:13
-      ~ports:(ports ~down:[ 2 ] 4)
-      ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
-  in
-  Alcotest.(check bool) "drop" true (d = Kar.Policy.Drop)
+  Alcotest.(check int) "drop" Kar.Policy.stuck
+    (Kar.Policy.step Kar.Policy.No_deflection ~computed:2 ~in_port:0
+       ~deflected:false ~live:(live ~down:[ 2 ] 4))
 
 let test_avp_uses_computed_even_if_input () =
   (* computed = 2 = in_port: AVP still uses it ("allows to use its incoming
      port as an outgoing port in any case") *)
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.Any_valid_port ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:2 ~in_port:2 ()) (rng ())
-  in
-  Alcotest.(check bool) "forward back out" true (d = Kar.Policy.Forward 2)
+  Alcotest.(check int) "forward back out" 2
+    (Kar.Policy.step Kar.Policy.Any_valid_port ~computed:2 ~in_port:2
+       ~deflected:false ~live:(live 4))
 
 let test_nip_never_uses_input () =
   (* same situation: NIP must pick another port at random *)
   let r = rng () in
   for _ = 1 to 50 do
-    let d, defl =
-      Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13 ~ports:(ports 4)
-        ~packet:(view ~route_id:2 ~in_port:2 ()) r
+    let port, defl =
+      hop Kar.Policy.Not_input_port ~live:(live 4) ~route_id:2 ~in_port:2 r
     in
-    match d with
-    | Kar.Policy.Forward p ->
-      Alcotest.(check bool) "not input" true (p <> 2);
-      Alcotest.(check bool) "marked deflected" true defl
-    | Kar.Policy.Drop -> Alcotest.fail "should deflect, not drop"
+    if port < 0 then Alcotest.fail "should deflect, not drop";
+    Alcotest.(check bool) "not input" true (port <> 2);
+    Alcotest.(check bool) "marked deflected" true defl
   done
 
 let test_nip_random_excludes_input_and_down () =
   let r = rng () in
   for _ = 1 to 50 do
-    let d, _ =
-      Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13
-        ~ports:(ports ~down:[ 7 mod 13; 1 ] 4) (* computed invalid anyway *)
-        ~packet:(view ~route_id:7 ~in_port:0 ()) r
+    let port, _ =
+      hop Kar.Policy.Not_input_port
+        ~live:(live ~down:[ 7 mod 13; 1 ] 4) (* computed invalid anyway *)
+        ~route_id:7 ~in_port:0 r
     in
-    match d with
-    | Kar.Policy.Forward p ->
-      Alcotest.(check bool) "healthy, not input" true (p = 2 || p = 3)
-    | Kar.Policy.Drop -> Alcotest.fail "candidates exist"
+    if port < 0 then Alcotest.fail "candidates exist";
+    Alcotest.(check bool) "healthy, not input" true (port = 2 || port = 3)
   done
 
 let test_nip_degree_one_returns () =
   (* only the input port is healthy: NIP sends the packet back rather than
      spinning (documented deviation from the paper's non-terminating
-     Algorithm 1) *)
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13
-      ~ports:(ports ~down:[ 1; 2; 3 ] 4)
-      ~packet:(view ~route_id:7 ~in_port:0 ()) (rng ())
+     Algorithm 1), a Draw over that one port *)
+  let live = live ~down:[ 1; 2; 3 ] 4 in
+  let c =
+    Kar.Policy.step Kar.Policy.Not_input_port ~computed:7 ~in_port:0
+      ~deflected:false ~live
   in
-  Alcotest.(check bool) "returns on input port" true (d = Kar.Policy.Forward 0)
+  Alcotest.(check bool) "a draw" true (c < 0 && c <> Kar.Policy.stuck);
+  Alcotest.(check int) "nothing excluded" (-1) (Kar.Policy.excluded c);
+  let port, _ =
+    hop Kar.Policy.Not_input_port ~live ~route_id:7 ~in_port:0 (rng ())
+  in
+  Alcotest.(check int) "returns on input port" 0 port
+
+let test_single_candidate_draws_nothing () =
+  (* a singleton Draw (the dead-end bounce) leaves the PRNG stream where it
+     was, exactly as before the bounce became a Draw *)
+  let r = rng () and reference = rng () in
+  Alcotest.(check int) "the one candidate" 0
+    (Kar.Policy.draw ~live:(live ~down:[ 1; 2; 3 ] 4) ~exclude:(-1) r);
+  Alcotest.(check bool) "stream untouched" true
+    (Util.Prng.next r = Util.Prng.next reference)
 
 let test_hp_random_after_first_deflection () =
   (* once deflected, HP ignores the computed port entirely *)
   let r = rng () in
   let seen = Hashtbl.create 4 in
   for _ = 1 to 200 do
-    let d, defl =
-      Kar.Policy.forward Kar.Policy.Hot_potato ~switch_id:13 ~ports:(ports 4)
-        ~packet:(view ~deflected:true ~route_id:2 ~in_port:0 ()) r
+    let port, defl =
+      hop ~deflected:true Kar.Policy.Hot_potato ~live:(live 4) ~route_id:2
+        ~in_port:0 r
     in
     Alcotest.(check bool) "stays deflected" true defl;
-    match d with
-    | Kar.Policy.Forward p -> Hashtbl.replace seen p ()
-    | Kar.Policy.Drop -> Alcotest.fail "healthy ports exist"
+    if port < 0 then Alcotest.fail "healthy ports exist";
+    Hashtbl.replace seen port ()
   done;
   Alcotest.(check int) "all four ports seen" 4 (Hashtbl.length seen)
 
 let test_hp_not_deflected_follows_modulo () =
-  let d, defl =
-    Kar.Policy.forward Kar.Policy.Hot_potato ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
+  let port, defl =
+    hop Kar.Policy.Hot_potato ~live:(live 4) ~route_id:2 ~in_port:0 (rng ())
   in
-  Alcotest.(check bool) "follows computed" true (d = Kar.Policy.Forward 2);
+  Alcotest.(check int) "follows computed" 2 port;
   Alcotest.(check bool) "not deflected" false defl
 
 let test_all_drop_when_everything_down () =
   List.iter
     (fun policy ->
-      let d, _ =
-        Kar.Policy.forward policy ~switch_id:13
-          ~ports:(ports ~down:[ 0; 1; 2; 3 ] 4)
-          ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
-      in
-      Alcotest.(check bool) (Kar.Policy.to_string policy) true (d = Kar.Policy.Drop))
-    [ Kar.Policy.No_deflection; Kar.Policy.Hot_potato; Kar.Policy.Any_valid_port;
-      Kar.Policy.Not_input_port ]
+      Alcotest.(check int) (Kar.Policy.to_string policy) Kar.Policy.stuck
+        (Kar.Policy.step policy ~computed:2 ~in_port:0 ~deflected:false
+           ~live:(live ~down:[ 0; 1; 2; 3 ] 4)))
+    Kar.Policy.all
 
 let test_policy_string_roundtrip () =
   List.iter
@@ -151,12 +154,9 @@ let test_deflection_uniformity () =
   let counts = Array.make 4 0 in
   let n = 20_000 in
   for _ = 1 to n do
-    match
-      Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13 ~ports:(ports 4)
-        ~packet:(view ~route_id:7 ~in_port:0 ()) r
-    with
-    | Kar.Policy.Forward p, _ -> counts.(p) <- counts.(p) + 1
-    | Kar.Policy.Drop, _ -> ()
+    match hop Kar.Policy.Not_input_port ~live:(live 4) ~route_id:7 ~in_port:0 r with
+    | -1, _ -> ()
+    | p, _ -> counts.(p) <- counts.(p) + 1
   done;
   Alcotest.(check int) "input port never drawn" 0 counts.(0);
   (* three candidates, ~n/3 each within 5% *)
@@ -182,71 +182,37 @@ let prop_forward_invariants =
       let* deflected = bool in
       pure (degree, down_mask, in_port, route, policy_idx, deflected))
     (fun (degree, down_mask, in_port, route, policy_idx, deflected) ->
-      let ports_arr =
-        Array.init degree (fun p ->
-            { Kar.Policy.up = down_mask land (1 lsl p) = 0; to_host = false })
-      in
+      let live = Array.init degree (fun p -> down_mask land (1 lsl p) = 0) in
       let policy = List.nth Kar.Policy.all policy_idx in
-      let decision, _ =
-        Kar.Policy.forward policy ~switch_id:10007
-          ~ports:ports_arr
-          ~packet:{ Kar.Policy.route_id = Z.of_int route; in_port; deflected }
-          (Util.Prng.of_int (route + down_mask))
+      let c =
+        Kar.Policy.step policy
+          ~computed:(Kar.Policy.computed_port ~switch_id:10007
+                       ~route_id:(Z.of_int route))
+          ~in_port ~deflected ~live
       in
-      match decision with
-      | Kar.Policy.Drop -> true
-      | Kar.Policy.Forward p ->
-        p >= 0 && p < degree
-        && ports_arr.(p).Kar.Policy.up
-        && (policy <> Kar.Policy.Not_input_port
-           || p <> in_port
-           || (* only-healthy-port exception *)
-           Array.for_all
-             (fun i ->
-               (not ports_arr.(i).Kar.Policy.up) || i = in_port)
-             (Array.init degree (fun i -> i))))
+      c = Kar.Policy.stuck
+      ||
+      let p =
+        if c >= 0 then c
+        else
+          Kar.Policy.draw ~live ~exclude:(Kar.Policy.excluded c)
+            (Util.Prng.of_int (route + down_mask))
+      in
+      p >= 0 && p < degree
+      && live.(p)
+      && (policy <> Kar.Policy.Not_input_port
+         || p <> in_port
+         || (* only-healthy-port exception *)
+         Array.for_all Fun.id
+           (Array.mapi (fun i up -> (not up) || i = in_port) live)))
 
 (* --- the zero-allocation fast path --- *)
-
-(* [decide] (packed-int code, what the simulator's switches run) must agree
-   decision-for-decision with [forward] (the boxed API Walk uses) — same
-   port, same deflected flag, same PRNG stream consumption. *)
-let prop_decide_matches_forward =
-  qtest ~count:2000 "decide = forward (packed vs boxed)"
-    QCheck2.Gen.(
-      let* degree = 1 -- 8 in
-      let* down_mask = 0 -- ((1 lsl degree) - 1) in
-      let* in_port = 0 -- (degree - 1) in
-      let* route = 0 -- 10_000 in
-      let* policy_idx = 0 -- 3 in
-      let* deflected = bool in
-      let* seed = 0 -- 1_000_000 in
-      pure (degree, down_mask, in_port, route, policy_idx, deflected, seed))
-    (fun (degree, down_mask, in_port, route, policy_idx, deflected, seed) ->
-      let ports_arr =
-        Array.init degree (fun p ->
-            { Kar.Policy.up = down_mask land (1 lsl p) = 0; to_host = false })
-      in
-      let policy = List.nth Kar.Policy.all policy_idx in
-      let route_id = Z.of_int route in
-      let decision, defl =
-        Kar.Policy.forward policy ~switch_id:10007 ~ports:ports_arr
-          ~packet:{ Kar.Policy.route_id; in_port; deflected }
-          (Util.Prng.of_int seed)
-      in
-      let d =
-        Kar.Policy.decide policy
-          ~computed:(Kar.Policy.computed_port ~switch_id:10007 ~route_id)
-          ~in_port ~deflected ~ports:ports_arr (Util.Prng.of_int seed)
-      in
-      (match decision with
-       | Kar.Policy.Forward p -> Kar.Policy.code_port d = p
-       | Kar.Policy.Drop -> Kar.Policy.code_port d = -1)
-      && Kar.Policy.code_deflected d = defl)
 
 let test_residue_cache () =
   let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
   let route_id = plan.Kar.Route.route_id in
+  let buf = Wire.Flat.create () in
+  Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id;
   (* every residue of the plan answers from the table, identically to the
      remainder kernel *)
   List.iter
@@ -255,52 +221,49 @@ let test_residue_cache () =
       Alcotest.(check int)
         (Printf.sprintf "cached port at SW%d" sw)
         (Kar.Policy.computed_port ~switch_id:sw ~route_id)
-        (Kar.Route.cached_port plan ~route_id ~switch_id:sw);
+        (Kar.Route.cached_port_flat plan buf ~switch_id:sw);
       Alcotest.(check int)
-        (Printf.sprintf "residue_table at SW%d" sw)
+        (Printf.sprintf "Route.port at SW%d" sw)
         r.Rns.value
-        (Kar.Route.residue_table plan sw))
+        (Kar.Route.port plan ~switch_id:sw))
     plan.Kar.Route.residues;
   (* switches outside the plan and foreign route IDs fall back to the
      kernel *)
   Alcotest.(check int) "unplanned switch" (Kar.Policy.computed_port ~switch_id:23 ~route_id)
-    (Kar.Route.cached_port plan ~route_id ~switch_id:23);
+    (Kar.Route.port plan ~switch_id:23);
+  Alcotest.(check int) "unplanned switch (flat)"
+    (Kar.Policy.computed_port ~switch_id:23 ~route_id)
+    (Kar.Route.cached_port_flat plan buf ~switch_id:23);
   let other = Z.of_int 44 in
+  Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id:other;
   List.iter
     (fun r ->
       let sw = r.Rns.modulus in
       Alcotest.(check int)
         (Printf.sprintf "re-encoded packet at SW%d" sw)
         (Kar.Policy.computed_port ~switch_id:sw ~route_id:other)
-        (Kar.Route.cached_port plan ~route_id:other ~switch_id:sw))
+        (Kar.Route.cached_port_flat plan buf ~switch_id:sw))
     plan.Kar.Route.residues
 
 (* The acceptance bar of the fast-path work: a steady-state forwarding
-   decision (cache lookup + NIP decide, healthy computed port) touches the
+   decision (cache lookup + NIP step, healthy computed port) touches the
    minor heap not at all.  [Gc.minor_words] itself boxes its float result,
    so allow a small constant slack rather than demanding an exact zero. *)
 let test_forward_zero_alloc () =
   let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
-  let route_id = plan.Kar.Route.route_id in
-  let ports_arr = ports 4 in
-  let r = rng () in
-  (* warm up: fault in closures/tables before counting *)
-  for _ = 1 to 100 do
-    let c = Kar.Route.cached_port plan ~route_id ~switch_id:13 in
+  let live = live 4 in
+  let hop_once () =
+    let computed = Kar.Route.port plan ~switch_id:13 in
     ignore
       (Sys.opaque_identity
-         (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-            ~deflected:false ~ports:ports_arr r))
-  done;
+         (Kar.Policy.step Kar.Policy.Not_input_port ~computed ~in_port:0
+            ~deflected:false ~live))
+  in
+  (* warm up: fault in closures/tables before counting *)
+  for _ = 1 to 100 do hop_once () done;
   let iters = 100_000 in
   let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    let c = Kar.Route.cached_port plan ~route_id ~switch_id:13 in
-    ignore
-      (Sys.opaque_identity
-         (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-            ~deflected:false ~ports:ports_arr r))
-  done;
+  for _ = 1 to iters do hop_once () done;
   let delta = Gc.minor_words () -. w0 in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words over %d decisions" delta iters)
@@ -354,7 +317,7 @@ let test_route_verify_catches_mismatch () =
   let broken = { plan with Kar.Route.route_id = Z.add plan.Kar.Route.route_id Z.one } in
   Alcotest.(check bool) "violations found" true (Kar.Route.verify broken <> [])
 
-let test_next_hop_matches_residues () =
+let test_port_matches_residues () =
   let sc = Nets.rnp28 in
   let plan = Kar.Controller.scenario_plan sc Kar.Controller.Partial in
   List.iter
@@ -362,7 +325,7 @@ let test_next_hop_matches_residues () =
       Alcotest.(check int)
         (Printf.sprintf "SW%d" r.Rns.modulus)
         r.Rns.value
-        (Kar.Route.next_hop plan ~switch_id:r.Rns.modulus))
+        (Kar.Route.port plan ~switch_id:r.Rns.modulus))
     plan.Kar.Route.residues
 
 (* --- Protection --- *)
@@ -833,38 +796,67 @@ let test_unknown_switch () =
 
 (* --- Walk vs Markov agreement --- *)
 
-let walk_matches_markov sc level policy fidx =
-  let g = sc.Nets.graph in
-  let plan = Kar.Controller.scenario_plan sc level in
+let walk_matches_markov g ~plan ~failed ~src ~dst policy =
+  let exact = Kar.Markov.analyze g ~plan ~policy ~failed ~src ~dst in
+  let mc =
+    Kar.Walk.run g ~plan ~policy ~failed ~src ~dst ~trials:30_000 ~seed:13 ()
+  in
+  let what = Kar.Policy.to_string policy in
+  Alcotest.(check (float 0.015))
+    (what ^ " delivery probability") exact.Kar.Markov.p_delivered
+    mc.Kar.Walk.p_delivery;
+  if exact.Kar.Markov.p_delivered > 0.2 && Float.is_finite exact.Kar.Markov.expected_hops_delivered
+  then
+    Alcotest.(check bool) (what ^ " hops within 10%") true
+      (Float.abs (exact.Kar.Markov.expected_hops_delivered -. mc.Kar.Walk.mean_hops)
+       /. exact.Kar.Markov.expected_hops_delivered
+       < 0.1)
+
+(* A paper scenario at one protection level, optionally with one of its
+   listed failures. *)
+let scenario_walk_matches_markov sc level policy fidx =
   let failed =
     match fidx with
     | Some i -> [ (List.nth sc.Nets.failures i).Nets.link ]
     | None -> []
   in
-  let exact =
-    Kar.Markov.analyze g ~plan ~policy ~failed ~src:sc.Nets.ingress
-      ~dst:sc.Nets.egress
-  in
-  let mc =
-    Kar.Walk.run g ~plan ~policy ~failed ~src:sc.Nets.ingress ~dst:sc.Nets.egress
-      ~trials:30_000 ~seed:13 ()
-  in
-  Alcotest.(check (float 0.015))
-    "delivery probability" exact.Kar.Markov.p_delivered mc.Kar.Walk.p_delivery;
-  if exact.Kar.Markov.p_delivered > 0.2 && Float.is_finite exact.Kar.Markov.expected_hops_delivered
-  then
-    Alcotest.(check bool) "hops within 10%" true
-      (Float.abs (exact.Kar.Markov.expected_hops_delivered -. mc.Kar.Walk.mean_hops)
-       /. exact.Kar.Markov.expected_hops_delivered
-       < 0.1)
+  walk_matches_markov sc.Nets.graph
+    ~plan:(Kar.Controller.scenario_plan sc level)
+    ~failed ~src:sc.Nets.ingress ~dst:sc.Nets.egress policy
 
 let test_walk_markov_nip () =
-  walk_matches_markov Nets.net15 Kar.Controller.Partial Kar.Policy.Not_input_port (Some 0);
-  walk_matches_markov Nets.net15 Kar.Controller.Full Kar.Policy.Not_input_port (Some 2);
-  walk_matches_markov Nets.rnp28 Kar.Controller.Partial Kar.Policy.Not_input_port (Some 1)
+  scenario_walk_matches_markov Nets.net15 Kar.Controller.Partial Kar.Policy.Not_input_port (Some 0);
+  scenario_walk_matches_markov Nets.net15 Kar.Controller.Full Kar.Policy.Not_input_port (Some 2);
+  scenario_walk_matches_markov Nets.rnp28 Kar.Controller.Partial Kar.Policy.Not_input_port (Some 1)
 
 let test_walk_markov_avp () =
-  walk_matches_markov Nets.net15 Kar.Controller.Partial Kar.Policy.Any_valid_port (Some 1)
+  scenario_walk_matches_markov Nets.net15 Kar.Controller.Partial Kar.Policy.Any_valid_port (Some 1)
+
+(* HP is left out on rnp28: a tenth of its walks hit the TTL there, which
+   the infinite-horizon chain does not model. *)
+let test_walk_markov_hp_none () =
+  List.iter
+    (fun policy ->
+      scenario_walk_matches_markov Nets.net15 Kar.Controller.Partial policy
+        (Some 1))
+    [ Kar.Policy.Hot_potato; Kar.Policy.No_deflection ]
+
+(* The 15-switch generated testbed, first host to eighth host on a Partial
+   plan, with the first core link of the path failed. *)
+let test_walk_markov_generated () =
+  let g = Experiments.Service.testbed ~n_core:15 () in
+  let hosts = Array.of_list (Graph.edge_nodes g) in
+  let src = hosts.(0) and dst = hosts.(7) in
+  let plan =
+    Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Partial
+  in
+  let failed =
+    match plan.Kar.Route.core_path with
+    | a :: b :: _ -> Option.to_list (Graph.link_between g a b)
+    | _ -> Alcotest.fail "path has a core link"
+  in
+  Alcotest.(check int) "one link failed" 1 (List.length failed);
+  List.iter (walk_matches_markov g ~plan ~failed ~src ~dst) Kar.Policy.all
 
 let test_markov_healthy_deterministic () =
   (* without failures the chain is the deterministic path: P(del)=1, hops =
@@ -1038,6 +1030,8 @@ let () =
           Alcotest.test_case "nip random excludes input+down" `Quick
             test_nip_random_excludes_input_and_down;
           Alcotest.test_case "nip degree-one dead end" `Quick test_nip_degree_one_returns;
+          Alcotest.test_case "single candidate draws nothing" `Quick
+            test_single_candidate_draws_nothing;
           Alcotest.test_case "hp random after deflection" `Quick
             test_hp_random_after_first_deflection;
           Alcotest.test_case "hp follows modulo until deflected" `Quick
@@ -1049,7 +1043,6 @@ let () =
         ] );
       ( "fastpath",
         [
-          prop_decide_matches_forward;
           Alcotest.test_case "residue cache" `Quick test_residue_cache;
           Alcotest.test_case "steady-state zero allocation" `Quick
             test_forward_zero_alloc;
@@ -1061,7 +1054,7 @@ let () =
           Alcotest.test_case "error paths" `Quick test_route_errors;
           Alcotest.test_case "unknown switch label" `Quick test_unknown_switch;
           Alcotest.test_case "verify catches corruption" `Quick test_route_verify_catches_mismatch;
-          Alcotest.test_case "next_hop matches residues" `Quick test_next_hop_matches_residues;
+          Alcotest.test_case "port matches residues" `Quick test_port_matches_residues;
         ] );
       ( "protection",
         [
@@ -1101,6 +1094,9 @@ let () =
         [
           Alcotest.test_case "walk = markov (nip)" `Slow test_walk_markov_nip;
           Alcotest.test_case "walk = markov (avp)" `Slow test_walk_markov_avp;
+          Alcotest.test_case "walk = markov (hp, none)" `Slow test_walk_markov_hp_none;
+          Alcotest.test_case "walk = markov (gen:15, all policies)" `Slow
+            test_walk_markov_generated;
           Alcotest.test_case "healthy = deterministic path" `Quick
             test_markov_healthy_deterministic;
           Alcotest.test_case "fig8 geometric loop" `Quick test_markov_fig8_geometric;

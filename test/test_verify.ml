@@ -3,8 +3,8 @@
    The compiler is pinned to the data plane by a differential suite: for
    every core switch of both evaluation topologies and every (live-port
    mask, input port, deflected) triple — and over qcheck-random plans —
-   the compiled action must agree with Kar.Policy.decide on the packed
-   fast path.  The verifier's verdicts are pinned to the simulator: k=1
+   the compiled action must agree with the sampled data plane
+   (Kar.Policy.step, then Kar.Policy.draw on a deflection).  The verifier's verdicts are pinned to the simulator: k=1
    verdicts are checked against the empirical invariants sweep
    (directionally: adversarial Guaranteed implies empirical delivery;
    adversarial no-delivery implies empirical zero delivery), and refuted
@@ -21,37 +21,37 @@ module Verify = Experiments.Verify
 
 let nip = Kar.Policy.Not_input_port
 
-(* --- differential: compiled table vs Policy.decide --- *)
+(* --- differential: compiled table vs the sampled data plane --- *)
 
-let port_states g v ~mask =
-  Array.init (Graph.degree g v) (fun p ->
-      {
-        Kar.Policy.up = mask land (1 lsl p) <> 0;
-        to_host = not (Graph.is_core g (fst (Graph.peer g v p)));
-      })
+let live_of g v ~mask =
+  Array.init (Graph.degree g v) (fun p -> mask land (1 lsl p) <> 0)
 
-(* One compiled cell vs the packed decision.  Deterministic actions are
-   checked with a single decide call; deflection candidate sets are
-   checked by membership over 32 seeded draws plus the structural facts
-   every candidate must satisfy (in range, live link). *)
-let check_cell ~what st ~policy ~ports ~mask ~in_port ~deflected =
-  let computed = st.Compiler.primary in
-  let decide rng =
-    Kar.Policy.decide policy ~computed ~in_port ~deflected ~ports rng
+(* One compiled cell vs the data plane as Karnet runs it: [Policy.step],
+   then [Policy.draw] on a Draw.  Deterministic actions are checked with a
+   single step; deflection candidate sets are checked by membership over 32
+   seeded draws plus the structural facts every candidate must satisfy (in
+   range, live link). *)
+let check_cell ~what st ~policy ~live ~mask ~in_port ~deflected =
+  let c =
+    Kar.Policy.step policy ~computed:st.Compiler.primary ~in_port ~deflected
+      ~live
+  in
+  let sample rng =
+    if c >= 0 then c
+    else if c = Kar.Policy.stuck then -1
+    else Kar.Policy.draw ~live ~exclude:(Kar.Policy.excluded c) rng
   in
   match Compiler.action_of st ~mask ~in_port ~deflected with
   | Compiler.Forward p ->
-    let c = decide (Util.Prng.of_int 7) in
     Alcotest.(check int)
       (what ^ ": forward port agrees")
-      p (Kar.Policy.code_port c);
+      p (sample (Util.Prng.of_int 7));
     Alcotest.(check bool)
       (what ^ ": forward keeps deflected flag")
-      deflected
-      (Kar.Policy.code_deflected c)
+      false
+      (Kar.Policy.deflects policy c)
   | Compiler.Drop ->
-    let c = decide (Util.Prng.of_int 7) in
-    Alcotest.(check int) (what ^ ": drop agrees") (-1) (Kar.Policy.code_port c)
+    Alcotest.(check int) (what ^ ": drop agrees") (-1) (sample (Util.Prng.of_int 7))
   | Compiler.Deflect m ->
     Alcotest.(check bool) (what ^ ": candidate set non-empty") true (m <> 0);
     for p = 0 to st.Compiler.degree - 1 do
@@ -62,17 +62,16 @@ let check_cell ~what st ~policy ~ports ~mask ~in_port ~deflected =
           (mask land (1 lsl p) <> 0)
     done;
     for seed = 0 to 31 do
-      let c = decide (Util.Prng.of_int seed) in
-      let p = Kar.Policy.code_port c in
+      let p = sample (Util.Prng.of_int seed) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: draw %d lands in candidate set" what p)
         true
-        (p >= 0 && m land (1 lsl p) <> 0);
-      Alcotest.(check bool)
-        (what ^ ": draw sets deflected")
-        true
-        (Kar.Policy.code_deflected c)
-    done
+        (p >= 0 && m land (1 lsl p) <> 0)
+    done;
+    Alcotest.(check bool)
+      (what ^ ": draw sets deflected")
+      true
+      (Kar.Policy.deflects policy c)
 
 let exhaustive_differential (sc : Nets.scenario) ~name () =
   let g = sc.Nets.graph in
@@ -84,7 +83,7 @@ let exhaustive_differential (sc : Nets.scenario) ~name () =
         (fun v ->
           let st = Compiler.table_exn t v in
           for mask = 0 to Compiler.full_mask st do
-            let ports = port_states g v ~mask in
+            let live = live_of g v ~mask in
             for in_port = -1 to st.Compiler.degree - 1 do
               List.iter
                 (fun deflected ->
@@ -93,7 +92,7 @@ let exhaustive_differential (sc : Nets.scenario) ~name () =
                       (Kar.Policy.to_string policy)
                       st.Compiler.switch_id mask in_port deflected
                   in
-                  check_cell ~what st ~policy ~ports ~mask ~in_port ~deflected)
+                  check_cell ~what st ~policy ~live ~mask ~in_port ~deflected)
                 [ false; true ]
             done
           done)
@@ -101,9 +100,9 @@ let exhaustive_differential (sc : Nets.scenario) ~name () =
     Kar.Policy.all
 
 (* qcheck: random plans (any pair, any protection level, any policy) x
-   random cells still agree with the packed fast path. *)
+   random cells still agree with the sampled data plane. *)
 let random_plan_differential =
-  QCheck.Test.make ~count:150 ~name:"random plan x mask x cell agrees with decide"
+  QCheck.Test.make ~count:150 ~name:"random plan x mask x cell agrees with step"
     QCheck.(quad small_nat small_nat small_nat (int_bound 1000))
     (fun (pair_ix, level_ix, policy_ix, cell_seed) ->
       let g = Nets.net15.Nets.graph in
@@ -128,8 +127,8 @@ let random_plan_differential =
       let mask = Util.Prng.int rng (Compiler.full_mask st + 1) in
       let in_port = Util.Prng.int rng (st.Compiler.degree + 1) - 1 in
       let deflected = Util.Prng.int rng 2 = 1 in
-      let ports = port_states g v ~mask in
-      check_cell ~what:"random" st ~policy ~ports ~mask ~in_port ~deflected;
+      let live = live_of g v ~mask in
+      check_cell ~what:"random" st ~policy ~live ~mask ~in_port ~deflected;
       true)
 
 (* --- empirical replay harness (mirrors Invariants.run_case) --- *)
@@ -412,8 +411,7 @@ let test_compiler_structure () =
       Alcotest.(check int) "switch_id is the label" (Graph.label g v)
         st.Compiler.switch_id;
       Alcotest.(check int) "primary is the modulo answer"
-        (Kar.Route.cached_port plan ~route_id:plan.Kar.Route.route_id
-           ~switch_id:st.Compiler.switch_id)
+        (Kar.Route.port plan ~switch_id:st.Compiler.switch_id)
         st.Compiler.primary;
       (* all-ports-live, fresh packet: a protected on-path switch forwards
          out its planned residue port *)
@@ -440,6 +438,48 @@ let test_compiler_structure () =
         (Compiler.is_protected t r.Rns.modulus))
     plan.Kar.Route.residues
 
+(* The table has 2^degree masks, so compile refuses a switch wider than
+   [max_degree] before allocating anything.  The generated 32-switch
+   testbed (a core switch of degree 19) used to take seconds and a
+   gigabyte per plan; the 15-switch one (degree 8) stays compilable. *)
+let test_compiler_degree_bound () =
+  let plan_for g =
+    match Graph.edge_nodes g with
+    | src :: dst :: _ ->
+      Kar.Controller.protected_route g ~src ~dst
+        ~level:Kar.Controller.Unprotected
+    | _ -> Alcotest.fail "testbed has two hosts"
+  in
+  let g = Experiments.Service.testbed ~n_core:32 () in
+  let plan = plan_for g in
+  let t0 = Sys.time () in
+  (match Compiler.compile g ~plan ~policy:nip with
+   | _ -> Alcotest.fail "gen:32 compiled"
+   | exception Compiler.Degree_too_large { switch_id; degree } ->
+     Alcotest.(check bool) "over the bound" true (degree > Compiler.max_degree);
+     Alcotest.(check int) "degree of the named switch" degree
+       (Graph.degree g (Graph.node_of_label g switch_id)));
+  (match
+     Verifier.prepare g ~plan ~policy:nip ~src:(List.hd (Graph.edge_nodes g))
+       ~dst:(List.nth (Graph.edge_nodes g) 1) ()
+   with
+   | _ -> Alcotest.fail "gen:32 prepared"
+   | exception Compiler.Degree_too_large _ -> ());
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "rejected in %.3f s" elapsed)
+    true (elapsed < 0.5);
+  let g15 = Experiments.Service.testbed ~n_core:15 () in
+  ignore (Compiler.compile g15 ~plan:(plan_for g15) ~policy:nip);
+  List.iter
+    (fun (sc : Nets.scenario) ->
+      let g = sc.Nets.graph in
+      Alcotest.(check bool) "paper topology within the bound" true
+        (List.for_all
+           (fun v -> Graph.degree g v <= Compiler.max_degree)
+           (Graph.core_nodes g)))
+    [ Nets.net15; Nets.rnp28 ]
+
 let () =
   Alcotest.run "verify"
     [
@@ -452,6 +492,7 @@ let () =
           Alcotest.test_case "exhaustive differential rnp28" `Quick
             (exhaustive_differential Nets.rnp28 ~name:"rnp28");
           QCheck_alcotest.to_alcotest random_plan_differential;
+          Alcotest.test_case "degree bound" `Quick test_compiler_degree_bound;
         ] );
       ( "verifier",
         [

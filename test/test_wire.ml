@@ -385,10 +385,10 @@ let prop_packet_accessors_match_flat =
       && Packet.born p = 0.25)
 
 (* --- flat vs record forwarding: the data plane must be indistinguishable —
-   same computed port, same packed decision, same PRNG stream — for every
-   net15 core switch, every port-liveness mask, every policy *)
+   same computed port, same choice, same PRNG stream — for every net15 core
+   switch, every port-liveness mask, every policy *)
 
-let test_flat_vs_record_decide () =
+let test_flat_vs_record_step () =
   let sc = Topo.Nets.net15 in
   let g = sc.Topo.Nets.graph in
   let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
@@ -402,30 +402,22 @@ let test_flat_vs_record_decide () =
       List.iter
         (fun route_id ->
           F.stamp b ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id;
+          let computed_rec = Kar.Policy.computed_port ~switch_id:sw ~route_id in
           Alcotest.(check int)
             (Printf.sprintf "computed_port SW%d" sw)
-            (Kar.Policy.computed_port ~switch_id:sw ~route_id)
+            computed_rec
             (Kar.Policy.computed_port_flat ~switch_id:sw b);
-          Alcotest.(check int)
-            (Printf.sprintf "cached_port SW%d" sw)
-            (Kar.Route.cached_port plan ~route_id ~switch_id:sw)
-            (Kar.Route.cached_port_flat plan b ~switch_id:sw);
-          let computed_rec =
-            Kar.Route.cached_port plan ~route_id ~switch_id:sw
-          in
+          if route_id == plan.Kar.Route.route_id then
+            Alcotest.(check int)
+              (Printf.sprintf "Route.port SW%d" sw)
+              computed_rec
+              (Kar.Route.port plan ~switch_id:sw);
           let computed_flat = Kar.Route.cached_port_flat plan b ~switch_id:sw in
+          Alcotest.(check int)
+            (Printf.sprintf "cached_port_flat SW%d" sw)
+            computed_rec computed_flat;
           for mask = 0 to (1 lsl degree) - 1 do
-            let ports =
-              Array.init degree (fun p ->
-                  let far =
-                    (Topo.Graph.other_end (Topo.Graph.link_at g v p) v)
-                      .Topo.Graph.node
-                  in
-                  {
-                    Kar.Policy.up = mask land (1 lsl p) <> 0;
-                    to_host = not (Topo.Graph.is_core g far);
-                  })
-            in
+            let live = Array.init degree (fun p -> mask land (1 lsl p) <> 0) in
             List.iter
               (fun policy ->
                 List.iter
@@ -433,14 +425,18 @@ let test_flat_vs_record_decide () =
                     let seed = (sw * 7919) + (mask * 31) + 1 in
                     let rng_rec = Util.Prng.of_int seed in
                     let rng_flat = Util.Prng.of_int seed in
-                    let d_rec =
-                      Kar.Policy.decide policy ~computed:computed_rec
-                        ~in_port:0 ~deflected ~ports rng_rec
+                    let choose computed rng =
+                      let c =
+                        Kar.Policy.step policy ~computed ~in_port:0 ~deflected
+                          ~live
+                      in
+                      if c >= 0 || c = Kar.Policy.stuck then c
+                      else
+                        Kar.Policy.draw ~live ~exclude:(Kar.Policy.excluded c)
+                          rng
                     in
-                    let d_flat =
-                      Kar.Policy.decide policy ~computed:computed_flat
-                        ~in_port:0 ~deflected ~ports rng_flat
-                    in
+                    let d_rec = choose computed_rec rng_rec in
+                    let d_flat = choose computed_flat rng_flat in
                     if d_rec <> d_flat then
                       Alcotest.failf
                         "SW%d mask %#x policy %s deflected %b: record %d, \
@@ -470,16 +466,9 @@ let test_flat_packet_zero_alloc () =
   let g = sc.Topo.Nets.graph in
   let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
   let route_id = plan.Kar.Route.route_id in
-  let v13 = Topo.Graph.node_of_label g 13 in
-  let ports =
-    Array.init (Topo.Graph.degree g v13) (fun p ->
-        let far =
-          (Topo.Graph.other_end (Topo.Graph.link_at g v13 p) v13)
-            .Topo.Graph.node
-        in
-        { Kar.Policy.up = true; to_host = not (Topo.Graph.is_core g far) })
+  let live =
+    Array.make (Topo.Graph.degree g (Topo.Graph.node_of_label g 13)) true
   in
-  let rng = Util.Prng.of_int 9 in
   let pool = Packet.Pool.create () in
   let born = Sys.opaque_identity 0.0 in
   let packet_round i =
@@ -492,8 +481,8 @@ let test_flat_packet_zero_alloc () =
       let c = Kar.Route.cached_port_flat plan b ~switch_id:13 in
       ignore
         (Sys.opaque_identity
-           (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c
-              ~in_port:0 ~deflected:false ~ports rng))
+           (Kar.Policy.step Kar.Policy.Not_input_port ~computed:c
+              ~in_port:0 ~deflected:false ~live))
     done;
     Packet.Pool.release pool p
   in
@@ -545,7 +534,7 @@ let () =
           prop_packet_accessors_match_flat;
           Alcotest.test_case
             "flat vs record: every switch x mask x policy" `Quick
-            test_flat_vs_record_decide;
+            test_flat_vs_record_step;
           Alcotest.test_case "whole packet allocates nothing" `Quick
             test_flat_packet_zero_alloc;
         ] );
