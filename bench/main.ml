@@ -85,23 +85,20 @@ let tests =
     Test.make ~name:"rns/port-erem-reference"
       (Staged.stage (fun () ->
            Z.to_int_exn (Z.erem plan_full.Kar.Route.route_id (Z.of_int 13))));
-    Test.make ~name:"kar/residue-cache-lookup"
-      (Staged.stage (fun () -> Kar.Route.port plan_full ~switch_id:13));
     Test.make ~name:"rns/extend-1-residue"
       (Staged.stage (fun () ->
            Rns.extend ~route_id:plan_full.Kar.Route.route_id
              ~modulus:plan_full.Kar.Route.modulus
              [ { Rns.modulus = 59; value = 1 } ]));
     (* forwarding decision (per-packet cost of a KAR switch): the
-       zero-allocation fast path Karnet actually runs, residue-cache
-       lookup + step *)
+       zero-allocation remainder + step *)
     Test.make ~name:"kar/forward-nip"
       (Staged.stage
          (let rng = Util.Prng.of_int 9 in
           fun () ->
-            forward_nip ~computed:(Kar.Route.port plan_full ~switch_id:13) rng));
-    (* flat wire image: stamping a pooled buffer and the two data-plane
-       reads that replace record access on the hot path *)
+            forward_nip ~computed:(Rns.port plan_full.Kar.Route.route_id 13) rng));
+    (* flat wire image: stamping a pooled buffer and the data-plane read
+       that replaces record access on the hot path *)
     Test.make ~name:"wire/flat-stamp"
       (Staged.stage
          (let buf = Wire.Flat.create () in
@@ -114,12 +111,6 @@ let tests =
           Wire.Flat.stamp buf ~uid:7 ~src:1 ~dst:5 ~size_bytes:512
             ~route_id:plan_full.Kar.Route.route_id;
           fun () -> Wire.Flat.rem_route_id buf 13));
-    Test.make ~name:"wire/flat-cached-port"
-      (Staged.stage
-         (let buf = Wire.Flat.create () in
-          Wire.Flat.stamp buf ~uid:7 ~src:1 ~dst:5 ~size_bytes:512
-            ~route_id:plan_full.Kar.Route.route_id;
-          fun () -> Kar.Route.cached_port_flat plan_full buf ~switch_id:13));
     (* flight recorder: per-event cost while tracing is on (the off case
        records nothing at all) *)
     Test.make ~name:"trace/record"
@@ -289,10 +280,9 @@ let print_benchmarks rows =
 
 (* --- end-to-end netsim throughput probe ---
 
-   A fixed workload (net15, full protection, NIP, residue cache on, no
-   failures) pushed through the simulator; the score is wall-clock packets
-   per second, the whole-stack number the kernel improvements must show up
-   in. *)
+   A fixed workload (net15, full protection, NIP, no failures) pushed
+   through the simulator; the score is wall-clock packets per second, the
+   whole-stack number the kernel improvements must show up in. *)
 
 let netsim_packets_per_sec ?(metrics = false) ~packets () =
   let sc = Topo.Nets.net15 in
@@ -316,8 +306,7 @@ let netsim_packets_per_sec ?(metrics = false) ~packets () =
     ignore (Netsim.Engine.schedule_in engine every snap)
   end;
   let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
-  Netsim.Karnet.install_switches ~plan net ~policy:Kar.Policy.Not_input_port
-    ~seed:1;
+  Netsim.Karnet.install_switches net ~policy:Kar.Policy.Not_input_port ~seed:1;
   let cache = Kar.Controller.create_cache g in
   Netsim.Karnet.install_standard_edges net
     ~controller_reencode:(fun (p : Netsim.Packet.t) ->
@@ -372,7 +361,7 @@ let forward_minor_words_per_packet ~iters =
     let buf = Netsim.Packet.bytes p in
     for hop = 0 to 3 do
       Netsim.Packet.set_hops p hop;
-      let computed = Kar.Route.cached_port_flat plan_full buf ~switch_id:13 in
+      let computed = Wire.Flat.rem_route_id buf 13 in
       ignore (Sys.opaque_identity (forward_nip ~computed rng))
     done;
     Netsim.Packet.Pool.release pool p

@@ -64,8 +64,18 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
   match Topo.Serial.load topo with
   | Error e -> `Error (false, Format.asprintf "%s: %a" topo Topo.Serial.pp_error e)
   | Ok g ->
-    (match (Graph.find_label g src_label, Graph.find_label g dst_label) with
-     | Some src, Some dst when not (Graph.is_core g src || Graph.is_core g dst) ->
+    let fail_link =
+      match fail with
+      | None -> Ok None
+      | Some (a, b) ->
+        (match Graph.link_between_labels g a b with
+         | id -> Ok (Some id)
+         | exception Not_found ->
+           Error (Printf.sprintf "--fail: SW%d-SW%d is not a link" a b))
+    in
+    (match (Graph.find_label g src_label, Graph.find_label g dst_label, fail_link) with
+     | Some src, Some dst, Ok fail_link
+       when not (Graph.is_core g src || Graph.is_core g dst) ->
        (* plan: shortest route, protection optimized within the budget over
           the route's own links *)
        let base = Kar.Controller.route g ~src ~dst ~protection:[] in
@@ -125,16 +135,10 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
            ~rev_route:rev.Kar.Route.route_id ~sampler ()
        in
        Tcp.Stack.register stack flow;
-       (match fail with
-        | Some (a, b) ->
-          (match
-             (try Some (Graph.link_between_labels g a b) with Not_found -> None)
-           with
-           | Some link ->
-             Netsim.Net.schedule_failure net link ~at:fail_at ~duration:fail_for
-           | None ->
-             Printf.eprintf "warning: SW%d-SW%d is not a link; no failure scheduled\n" a b)
-        | None -> ());
+       Option.iter
+         (fun link ->
+           Netsim.Net.schedule_failure net link ~at:fail_at ~duration:fail_for)
+         fail_link;
        (* --scenario: a generated failure schedule rides alongside any
           --fail link. *)
        (match scenario with
@@ -221,7 +225,8 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
                vs;
              `Error (false, Printf.sprintf "%d invariant violations" (List.length vs)))
         | _ -> `Ok ())
-     | Some _, Some _ -> `Error (false, "src and dst must be edge nodes")
+     | Some _, Some _, Error msg -> `Error (false, msg)
+     | Some _, Some _, Ok _ -> `Error (false, "src and dst must be edge nodes")
      | _ -> `Error (false, "unknown src or dst label"))
 
 (* --- convert: lossless binary <-> JSONL trace translation --- *)

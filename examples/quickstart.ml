@@ -30,10 +30,7 @@ let trace_walk g plan ~failed ~src ~dst ~seed =
       Printf.printf " -> SW%d" (Graph.label g v);
       let policy = Kar.Policy.Not_input_port in
       let live = live v in
-      let computed =
-        Kar.Policy.computed_port ~switch_id:(Graph.label g v)
-          ~route_id:plan.Kar.Route.route_id
-      in
+      let computed = Rns.port plan.Kar.Route.route_id (Graph.label g v) in
       let c = Kar.Policy.step policy ~computed ~in_port ~deflected ~live in
       if c = Kar.Policy.stuck then print_endline "  (dropped)"
       else begin

@@ -240,14 +240,6 @@ let of_bytes b ~pos ~limbs =
   if limbs < 0 then invalid_arg "Nat.of_bytes: negative limb count";
   normalize (Array.init limbs (fun i -> get_u32 b (pos + (4 * i)) land mask))
 
-(* top-level so the recursion compiles to a static call, not a heap-
-   allocated closure — equal_bytes sits on the per-packet fast path *)
-let rec equal_bytes_from a b pos i =
-  i < 0 || (Array.unsafe_get a i = get_u32 b (pos + (4 * i)) && equal_bytes_from a b pos (i - 1))
-
-let equal_bytes a b ~pos ~limbs =
-  Array.length a = limbs && equal_bytes_from a b pos (limbs - 1)
-
 (* Mirror of [rem_int] over the byte view, including the 0/1/2-limb fast
    paths (two limbs fit in 62 bits: one machine division). *)
 let rem_int_bytes b ~pos ~limbs s =

@@ -63,7 +63,7 @@ val divmod : int array -> int array -> int array * int array
 (** [rem_int a s] is [a mod s] for a machine-int modulus [1 <= s < base],
     folding the limbs high-to-low with a precomputed [base mod s].  Unlike
     {!divmod} it builds no quotient and allocates nothing — this is the
-    data-plane kernel behind [Rns.port_fast].
+    data-plane kernel behind [Rns.port].
     @raise Invalid_argument when [s] is outside [\[1, base)]. *)
 val rem_int : int array -> int -> int
 
@@ -82,10 +82,6 @@ val blit_bytes : int array -> Bytes.t -> pos:int -> int
 (** [of_bytes b ~pos ~limbs] materialises a canonical magnitude from the
     view (normalising, and masking each word to 31 bits). *)
 val of_bytes : Bytes.t -> pos:int -> limbs:int -> int array
-
-(** [equal_bytes a b ~pos ~limbs] compares a canonical magnitude against a
-    canonical byte view without allocating. *)
-val equal_bytes : int array -> Bytes.t -> pos:int -> limbs:int -> bool
 
 (** [rem_int_bytes b ~pos ~limbs s] is {!rem_int} over the byte view:
     the same high-to-low fold with precomputed [base mod s], the same

@@ -93,9 +93,6 @@ let of_limbs b ~pos ~limbs = mk 1 (Nat.of_bytes b ~pos ~limbs)
 
 let rem_int_bytes b ~pos ~limbs s = Nat.rem_int_bytes b ~pos ~limbs s
 
-let equal_limbs a b ~pos ~limbs =
-  a.sign >= 0 && Nat.equal_bytes a.mag b ~pos ~limbs
-
 let compare a b =
   if a.sign <> b.sign then Stdlib.compare a.sign b.sign
   else if a.sign >= 0 then Nat.compare a.mag b.mag

@@ -79,10 +79,6 @@ val of_limbs : Bytes.t -> pos:int -> limbs:int -> t
     @raise Invalid_argument when [s] is outside [\[1, 2^31)]. *)
 val rem_int_bytes : Bytes.t -> pos:int -> limbs:int -> int -> int
 
-(** [equal_limbs a b ~pos ~limbs] compares without materialising; [false]
-    for negative [a]. *)
-val equal_limbs : t -> Bytes.t -> pos:int -> limbs:int -> bool
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val min : t -> t -> t

@@ -93,9 +93,7 @@ let analyze g ~plan ~policy ~failed ~src ~dst =
     in
     let c =
       Policy.step policy
-        ~computed:
-          (Policy.computed_port ~switch_id:(Graph.label g v)
-             ~route_id:plan.Route.route_id)
+        ~computed:(Rns.port plan.Route.route_id (Graph.label g v))
         ~in_port ~deflected:defl ~live
     in
     if c >= 0 then [ (1.0, classify_exit v c defl) ]

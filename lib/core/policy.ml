@@ -1,5 +1,3 @@
-module Z = Bignum.Z
-
 type t =
   | No_deflection
   | Hot_potato
@@ -20,12 +18,6 @@ let of_string = function
   | "avp" -> Some Any_valid_port
   | "nip" -> Some Not_input_port
   | _ -> None
-
-let computed_port ~switch_id ~route_id = Z.rem_int route_id switch_id
-
-(* Same kernel over a flat packet image: the remainder fold runs directly on
-   the buffer's limb words, no Z.t in sight. *)
-let computed_port_flat ~switch_id buf = Wire.Flat.rem_route_id buf switch_id
 
 (* The choice is one immediate int so the packet path never touches the
    minor heap: a Take is the port itself, a Draw excluding port [e] (-1:

@@ -1,5 +1,5 @@
-(** KAR data-plane forwarding: the modulo computation and the three
-    deflection techniques of section 2.1.
+(** KAR data-plane forwarding: the step rule and the three deflection
+    techniques of section 2.1.
 
     A KAR core switch is stateless.  {!step} is the one definition of a
     hop: a pure function of the computed port [<R>_s], the input port, the
@@ -8,6 +8,8 @@
     it follows a complete random path").  When the answer is a deflection,
     {!draw} samples it.  The simulator's switches, the Monte-Carlo walker,
     the exact Markov analysis and the plan compiler all decode {!step}.
+    The computed port is the caller's: {!Rns.port} over a route ID,
+    [Wire.Flat.rem_route_id] over a packet image.
 
     A deflection picks uniformly among {e all live} ports (for NIP, minus
     the input port).  A deflection into an edge node strands the packet
@@ -33,18 +35,6 @@ type t =
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
-
-(** [computed_port ~switch_id ~route_id] is the raw modulo result
-    [<R>_s] (which may not name an existing port), via the remainder-only
-    kernel {!Bignum.Z.rem_int}. *)
-val computed_port : switch_id:int -> route_id:Bignum.Z.t -> int
-
-(** [computed_port_flat ~switch_id buf] is {!computed_port} over a
-    {!Wire.Flat} packet image: the remainder fold runs directly on the
-    buffer's route-ID limb words, allocating nothing. *)
-val computed_port_flat : switch_id:int -> Bytes.t -> int
-
-(** {2 The forwarding step} *)
 
 (** [step policy ~computed ~in_port ~deflected ~live] is the switch's
     choice for a packet whose modulo answer is [computed], arriving on

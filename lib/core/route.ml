@@ -8,7 +8,6 @@ type plan = {
   core_path : Graph.node list;
   protection : (int * int) list;
   bit_length : int;
-  residue_ports : int array;
 }
 
 type error =
@@ -51,16 +50,6 @@ let residue g v port =
   else if port >= id then Error (Port_not_encodable (id, port))
   else Ok { Rns.modulus = id; value = port }
 
-(* The per-plan residue cache: a switch_id-indexed port table (-1 = switch
-   not in the plan), built once per encode/extend.  The data plane then
-   answers <R>_s for every switch in the plan with one array read instead
-   of a bignum reduction. *)
-let residue_ports_of residues =
-  let max_id = List.fold_left (fun m r -> max m r.Rns.modulus) 0 residues in
-  let ports = Array.make (max_id + 1) (-1) in
-  List.iter (fun r -> ports.(r.Rns.modulus) <- r.Rns.value) residues;
-  ports
-
 let encode_plan ~core_path ~protection residues =
   match Rns.encode residues with
   | Error e -> Error (Rns_error e)
@@ -73,7 +62,6 @@ let encode_plan ~core_path ~protection residues =
         core_path;
         protection;
         bit_length = Rns.bit_length_bound modulus;
-        residue_ports = residue_ports_of residues;
       }
 
 let check_no_duplicates residues =
@@ -178,30 +166,9 @@ let protect_exn g plan hops =
   | Ok p -> p
   | Error e -> raise_error e
 
-(* The plan's residue at [switch_id], or -1 when it carries none. *)
-let residue_port plan switch_id =
-  if switch_id >= 0 && switch_id < Array.length plan.residue_ports then
-    plan.residue_ports.(switch_id)
-  else -1
-
-let port plan ~switch_id =
-  match residue_port plan switch_id with
-  | -1 -> Policy.computed_port ~switch_id ~route_id:plan.route_id
-  | p -> p
-
-(* The cache only answers for the route ID it was built from, so packets
-   re-encoded at an edge (fresh route ID) miss and fall back to the
-   remainder fold: no invalidation beyond plan re-encode.  The guard
-   compares the buffer's limb words against the plan's route ID, O(limbs)
-   machine-int equality and still a win over the fold for multi-limb IDs. *)
-let cached_port_flat plan buf ~switch_id =
-  let p = residue_port plan switch_id in
-  if p >= 0 && Wire.Flat.route_id_equal buf plan.route_id then p
-  else Policy.computed_port_flat ~switch_id buf
-
 let verify plan =
   List.filter_map
     (fun r ->
-      let got = Policy.computed_port ~switch_id:r.Rns.modulus ~route_id:plan.route_id in
+      let got = Rns.port plan.route_id r.Rns.modulus in
       if got = r.Rns.value then None else Some (r.Rns.modulus, r.Rns.value, got))
     plan.residues

@@ -4,7 +4,9 @@
     A {!plan} records everything the controller decided: the residues
     (switch ID, output port), the CRT-encoded route ID and modulus, the core
     path, and the protection hops folded in.  Plans are immutable values;
-    stamping a packet is just copying [route_id]. *)
+    stamping a packet is just copying [route_id].  A plan holds no
+    per-switch table: a switch's port is [Rns.port route_id s], the
+    remainder and nothing else (Eq. 3). *)
 
 module Z = Bignum.Z
 
@@ -15,12 +17,6 @@ type plan = {
   core_path : Topo.Graph.node list; (** primary path, core nodes only *)
   protection : (int * int) list; (** directed hops (switch, next) included *)
   bit_length : int; (** Eq. 9 bound for this plan's modulus *)
-  residue_ports : int array;
-      (** the per-plan residue cache, built once at encode/extend time:
-          [residue_ports.(switch_id)] is the plan's port at that switch, or
-          [-1] when the switch carries no residue.  Rebuilt whenever the
-          plan is re-encoded ({!protect}, [Rns.extend]); read through
-          {!port} and {!cached_port_flat}. *)
 }
 
 type error =
@@ -69,19 +65,6 @@ val protect_skipping :
 val of_labels_exn : Topo.Graph.t -> int list -> egress_label:int -> plan
 
 val protect_exn : Topo.Graph.t -> plan -> (int * int) list -> plan
-
-(** [port plan ~switch_id] is [<R>_s] for the plan's own route ID: the
-    residue cache when the switch carries a residue, the remainder kernel
-    otherwise (a stray switch off the plan).  This is the control-plane
-    read; the packet path reads {!cached_port_flat}. *)
-val port : plan -> switch_id:int -> int
-
-(** [cached_port_flat plan buf ~switch_id] is [<R>_s] for the route ID in
-    the {!Wire.Flat} packet image [buf], answered from the plan's residue
-    cache when [buf] carries the plan's own route ID and the switch carries
-    a residue, by the in-place remainder fold otherwise (e.g. a packet
-    re-encoded at an edge).  Allocation-free either way. *)
-val cached_port_flat : plan -> Bytes.t -> switch_id:int -> int
 
 (** [verify g plan] checks the invariant that every residue in the plan is
     recovered by the modulo operation ([<R>_{s_i} = p_i], Eq. 3); returns

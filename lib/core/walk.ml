@@ -87,9 +87,7 @@ let walk g ~plan ~policy ~failed ~src ~dst ~ttl ?recorder ?(uid = 0) ?rng_for
         let live = live_ports g ~failed node in
         let choice =
           Policy.step policy
-            ~computed:
-              (Policy.computed_port ~switch_id:label
-                 ~route_id:plan.Route.route_id)
+            ~computed:(Rns.port plan.Route.route_id label)
             ~in_port ~deflected ~live
         in
         if choice = Policy.stuck then begin

@@ -91,8 +91,7 @@ let run_data sc ~events ~technique ?recorder ~rate_pps ~duration_s ~seed () =
    | Kar ->
      let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
      current := plan.Kar.Route.route_id;
-     Netsim.Karnet.install_switches ~plan net ~policy:Kar.Policy.Not_input_port
-       ~seed
+     Netsim.Karnet.install_switches net ~policy:Kar.Policy.Not_input_port ~seed
    | Fast_failover ->
      current := Z.of_int 1;
      Baselines.Fast_failover.install net
@@ -309,8 +308,7 @@ let to_string ?(profile = Profile.from_env ()) ?(metrics = false) () =
     let engine = Engine.create () in
     let net = Net.create ~graph:sc.Nets.graph ~engine () in
     let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
-    Netsim.Karnet.install_switches ~plan net ~policy:Kar.Policy.Not_input_port
-      ~seed;
+    Netsim.Karnet.install_switches net ~policy:Kar.Policy.Not_input_port ~seed;
     List.iter
       (fun v ->
         Netsim.Karnet.install_edge net v

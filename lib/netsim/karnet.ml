@@ -4,23 +4,12 @@ let log_src = Logs.Src.create "kar.switch" ~doc:"KAR switch forwarding decisions
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let install_switches ?plan net ~policy ~seed =
+let install_switches net ~policy ~seed =
   let master = Util.Prng.of_int seed in
   List.iter
     (fun v ->
       let rng = Util.Prng.split master in
       let switch_id = Graph.label (Net.graph net) v in
-      (* The modulo answer for this switch, read straight off the packet's
-         flat buffer: a residue-table read when a plan is threaded through
-         (missing automatically for packets whose route ID the table was
-         not built from, e.g. after an edge re-encode), the in-place
-         remainder kernel otherwise.  Resolved once per switch at install
-         time, not per packet. *)
-      let computed_for =
-        match plan with
-        | Some p -> fun buf -> Kar.Route.cached_port_flat p buf ~switch_id
-        | None -> fun buf -> Kar.Policy.computed_port_flat ~switch_id buf
-      in
       let handler net _node (packet : Packet.t) ~in_port =
         let hops = Packet.hops packet + 1 in
         Packet.set_hops packet hops;
@@ -30,7 +19,8 @@ let install_switches ?plan net ~policy ~seed =
         else begin
           let live = Net.live_ports net v in
           let was_deflected = Packet.deflected packet in
-          let c = computed_for (Packet.bytes packet) in
+          (* <R>_s, read straight off the packet's limb words. *)
+          let c = Wire.Flat.rem_route_id (Packet.bytes packet) switch_id in
           (* Steady state (computed port live, no recorder): everything
              from here to [Net.send] stays off the minor heap. *)
           let choice =

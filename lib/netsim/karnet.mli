@@ -2,31 +2,26 @@
     the paper's prototype and the edge-node logic (delivery, stranded-packet
     re-encoding).
 
-    A switch is a decode of {!Kar.Policy.step}: Take is a [Net.send] on the
-    computed port, Draw a {!Kar.Policy.draw} over the live ports, Stuck a
-    [No_route] drop.  Each core switch gets its own PRNG stream (split from
-    one seed), so a whole run is reproducible from topology + policy +
-    seed. *)
+    A switch holds no forwarding table: its computed port is the remainder
+    of the packet's route ID by its switch ID, and the switch is a decode of
+    {!Kar.Policy.step}: Take is a [Net.send] on the computed port, Draw a
+    {!Kar.Policy.draw} over the live ports, Stuck a [No_route] drop.  Each
+    core switch gets its own PRNG stream (split from one seed), so a whole
+    run is reproducible from topology + policy + seed. *)
 
 (** The switches' log source (["kar.switch"]): first deflections of each
     packet at [Debug]. *)
 val log_src : Logs.src
 
-(** [install_switches net ~policy ?plan ~seed] sets the handler of every
-    core node: on arrival the packet's hop count is bumped (TTL enforced),
-    the choice is {!Kar.Policy.step} on the switch's live ports, and the
-    packet is forwarded or dropped.  The first deflection of each packet is
-    tallied in the net stats.
-
-    With [?plan], each switch reads the computed port through the plan's
-    residue cache ({!Kar.Route.cached_port_flat}): an int-array read for
-    packets carrying the plan's route ID, the remainder kernel for any
-    other route ID (e.g. after an edge re-encode).  Behaviour is identical
-    either way, byte-for-byte in the flight-recorder trace.  The
-    steady-state forward path (computed port live, no recorder attached)
-    performs no minor-heap allocation. *)
-val install_switches :
-  ?plan:Kar.Route.plan -> Net.t -> policy:Kar.Policy.t -> seed:int -> unit
+(** [install_switches net ~policy ~seed] sets the handler of every core
+    node: on arrival the packet's hop count is bumped (TTL enforced), the
+    computed port is {!Wire.Flat.rem_route_id} of the packet image at the
+    switch's ID, the choice is {!Kar.Policy.step} on the switch's live
+    ports, and the packet is forwarded or dropped.  The first deflection of
+    each packet is tallied in the net stats.  The steady-state forward path
+    (computed port live, no recorder attached) performs no minor-heap
+    allocation. *)
+val install_switches : Net.t -> policy:Kar.Policy.t -> seed:int -> unit
 
 (** What an edge node does with a packet addressed to itself. *)
 type receive = Net.t -> Packet.t -> unit

@@ -2,9 +2,9 @@
 
     A packet handle wraps one fixed-size [Bytes.t] holding every header
     field (uid, src, dst, size, hops, reencoded, deflected, route-ID limbs);
-    core switches read the route ID straight off the limb words via
-    {!Kar.Route.cached_port_flat} — no record, no [Z.t], no allocation on
-    the forwarding path.  [payload] is an extensible variant so higher
+    core switches take [<R>_s] straight off the limb words via
+    {!Wire.Flat.rem_route_id} — no record, no [Z.t], no allocation on the
+    forwarding path.  [payload] is an extensible variant so higher
     layers (TCP, probe workloads) attach their own data without the
     simulator depending on them; [born] stays an exact float for latency
     stats.
@@ -25,7 +25,7 @@ type payload += Raw (** contentless filler traffic *)
 type t
 
 (** The underlying flat image, for direct kernel access
-    ({!Kar.Policy.computed_port_flat}, {!Kar.Route.cached_port_flat}). *)
+    ({!Wire.Flat.rem_route_id}). *)
 val bytes : t -> Bytes.t
 
 val uid : t -> int

@@ -128,11 +128,7 @@ let mixed_radix residues =
     let _, _, digits = garner ~native:true (Z.zero, Z.one) residues in
     Ok (List.rev_map Z.of_int digits)
 
-(* The single validated entry point for the data-plane operation: the
-   [switch_id > 0] check lives in [Z.rem_int] (which every caller funnels
-   through), not in a second guard here. *)
-let port_fast route_id switch_id = Z.rem_int route_id switch_id
-let port = port_fast
+let port route_id switch_id = Z.rem_int route_id switch_id
 
 let decode route_id ids = List.map (port route_id) ids
 

@@ -62,15 +62,13 @@ val encode_garner : residue list -> (Z.t * Z.t, error) result
 val decode : Z.t -> int list -> int list
 
 (** [port route_id switch_id] is the single-switch forwarding computation
-    [<R>_s].  This is all a KAR core switch ever evaluates.
+    [<R>_s] (Eq. 3), which may not name an existing port.  This is all a
+    KAR core switch ever evaluates, and the one definition of it over a
+    [Z.t]; [Wire.Flat.rem_route_id] is the same remainder over a packet
+    image.  It runs the remainder-only kernel {!Bignum.Z.rem_int}: no
+    quotient, and no allocation for [switch_id < 2^31].
     @raise Invalid_argument when [switch_id <= 0]. *)
 val port : Z.t -> int -> int
-
-(** [port_fast] is {!port}: the remainder-only small-modulus kernel
-    ({!Bignum.Z.rem_int}) — no quotient, no allocation.  Exposed under its
-    own name so data-plane call sites document that they are on the fast
-    path; validation ([switch_id > 0]) happens inside the kernel itself. *)
-val port_fast : Z.t -> int -> int
 
 (** [extend ~route_id ~modulus extra] folds additional residues into an
     existing route ID without re-encoding the original residues: the result

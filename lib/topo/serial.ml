@@ -20,6 +20,8 @@ let to_string g =
     (Graph.links g);
   Buffer.contents buf
 
+let max_core_label = (1 lsl 31) - 1
+
 let parse_endpoint line s =
   match String.split_on_char ':' s with
   | [ label; port ] ->
@@ -59,6 +61,12 @@ let of_string s =
                | "edge" -> Graph.Edge
                | other -> fail line ("unknown node kind " ^ other)
              in
+             (* A core label is a switch ID, the modulus of <R>_s: both
+                remainder kernels are defined for 1 .. 2^31 - 1 only. *)
+             if kind = Graph.Core && (label < 1 || label > max_core_label) then
+               fail line
+                 (Printf.sprintf "core label %d outside 1 .. %d" label
+                    max_core_label);
              if Hashtbl.mem nodes label then fail line "duplicate node label";
              (try Hashtbl.replace nodes label (Graph.Builder.add_node b ~kind label)
               with Invalid_argument m -> fail line m)

@@ -25,7 +25,9 @@ val pp_error : Format.formatter -> error -> unit
     ports, rates and delays). *)
 val to_string : Graph.t -> string
 
-(** [of_string s] parses a topology. *)
+(** [of_string s] parses a topology.  A core label is a switch ID, the
+    modulus of the forwarding remainder, so one outside [1 .. 2^31 - 1] is
+    an error on its line. *)
 val of_string : string -> (Graph.t, error) result
 
 (** [load path] / [save path g]: file convenience wrappers.

@@ -50,7 +50,7 @@ let mask_of_failures g ~node ~failed =
 let compile_switch g ~plan ~policy v =
   let switch_id = Graph.label g v in
   let degree = Graph.degree g v in
-  let primary = Kar.Route.port plan ~switch_id in
+  let primary = Rns.port plan.Kar.Route.route_id switch_id in
   let n_masks = 1 lsl degree in
   let actions = Array.make (n_masks * (degree + 1) * 2) Drop in
   let live = Array.make degree false in
@@ -113,8 +113,7 @@ let table_exn t v =
       (Printf.sprintf "Compiler.table_exn: node %d is not a core switch" v)
 
 let is_protected t switch_id =
-  let rp = t.plan.Kar.Route.residue_ports in
-  switch_id >= 0 && switch_id < Array.length rp && rp.(switch_id) >= 0
+  List.exists (fun r -> r.Rns.modulus = switch_id) t.plan.Kar.Route.residues
 
 let pp_action ppf = function
   | Forward p -> Format.fprintf ppf "forward:%d" p

@@ -79,7 +79,6 @@ let set_route_id b z =
   set8 b limbs_off (Z.blit_limbs z b ~pos:route_pos)
 
 let rem_route_id b s = Z.rem_int_bytes b ~pos:route_pos ~limbs:(limbs b) s
-let route_id_equal b z = Z.equal_limbs z b ~pos:route_pos ~limbs:(limbs b)
 
 let stamp b ~uid ~src ~dst ~size_bytes ~route_id =
   set_uid b uid;

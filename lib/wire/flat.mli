@@ -32,7 +32,7 @@
     Every accessor is built from single-byte loads/stores ([Bytes.get_int32_le]
     and friends box on 64-bit OCaml); none of them allocates except
     {!route_id}, which materialises a {!Bignum.Z.t} and is for boundaries
-    only — the data plane uses {!rem_route_id} and {!route_id_equal}. *)
+    only — the data plane uses {!rem_route_id}. *)
 
 (** Total image size in bytes (156). *)
 val size : int
@@ -81,10 +81,6 @@ val set_route_id : Bytes.t -> Bignum.Z.t -> unit
 (** [rem_route_id b s] is the forwarding kernel [<R>_s] (paper Eq. 1)
     directly on the limb view — no materialisation, no allocation. *)
 val rem_route_id : Bytes.t -> int -> int
-
-(** [route_id_equal b z] compares the stored route ID against [z] without
-    materialising (the plan-cache guard). *)
-val route_id_equal : Bytes.t -> Bignum.Z.t -> bool
 
 (** Full (re-)initialisation: sets every field, clears hops/reencoded/
     deflected, sets live, stamps the current wire version. *)

@@ -53,11 +53,6 @@ type timeline_result = {
   net_drops : int;
 }
 
-let install_data_plane ?plan net policy seed =
-  match policy with
-  | Kar p -> Netsim.Karnet.install_switches ?plan net ~policy:p ~seed
-  | Fast_failover -> Baselines.Fast_failover.install net
-
 let scenario_plans sc level =
   ( Kar.Controller.scenario_plan sc level,
     Kar.Controller.scenario_reverse_plan sc level )
@@ -75,12 +70,9 @@ let setup ?plans sc ~policy ~level ~seed ~sampler ?(detection_delay_s = 0.0)
   let fwd, rev =
     match plans with Some p -> p | None -> scenario_plans sc level
   in
-  (* Threading the forward plan arms the switches' residue cache; packets
-     on any other route ID (reverse traffic, edge re-encodes) miss it and
-     take the remainder kernel, so decisions are unchanged. *)
   (match policy with
-   | Kar _ -> install_data_plane ~plan:fwd net policy seed
-   | Fast_failover -> install_data_plane net policy seed);
+   | Kar p -> Netsim.Karnet.install_switches net ~policy:p ~seed
+   | Fast_failover -> Baselines.Fast_failover.install net);
   let stack = Tcp.Stack.create ~net () in
   let flow =
     Tcp.Flow.start ~net ~id:1 ~src:sc.Nets.ingress ~dst:sc.Nets.egress

@@ -32,9 +32,9 @@ let hop ?(deflected = false) policy ~live ~route_id ~in_port rng =
   (port, deflected || Kar.Policy.deflects policy c)
 
 let test_computed_port () =
-  Alcotest.(check int) "44 mod 4" 0 (Kar.Policy.computed_port ~switch_id:4 ~route_id:(Z.of_int 44));
-  Alcotest.(check int) "44 mod 7" 2 (Kar.Policy.computed_port ~switch_id:7 ~route_id:(Z.of_int 44));
-  Alcotest.(check int) "660 mod 5" 0 (Kar.Policy.computed_port ~switch_id:5 ~route_id:(Z.of_int 660))
+  Alcotest.(check int) "44 mod 4" 0 (Rns.port (Z.of_int 44) 4);
+  Alcotest.(check int) "44 mod 7" 2 (Rns.port (Z.of_int 44) 7);
+  Alcotest.(check int) "660 mod 5" 0 (Rns.port (Z.of_int 660) 5)
 
 let test_none_forwards_valid () =
   let port, defl =
@@ -186,8 +186,7 @@ let prop_forward_invariants =
       let policy = List.nth Kar.Policy.all policy_idx in
       let c =
         Kar.Policy.step policy
-          ~computed:(Kar.Policy.computed_port ~switch_id:10007
-                       ~route_id:(Z.of_int route))
+          ~computed:(Rns.port (Z.of_int route) 10007)
           ~in_port ~deflected ~live
       in
       c = Kar.Policy.stuck
@@ -208,52 +207,15 @@ let prop_forward_invariants =
 
 (* --- the zero-allocation fast path --- *)
 
-let test_residue_cache () =
-  let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
-  let route_id = plan.Kar.Route.route_id in
-  let buf = Wire.Flat.create () in
-  Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id;
-  (* every residue of the plan answers from the table, identically to the
-     remainder kernel *)
-  List.iter
-    (fun r ->
-      let sw = r.Rns.modulus in
-      Alcotest.(check int)
-        (Printf.sprintf "cached port at SW%d" sw)
-        (Kar.Policy.computed_port ~switch_id:sw ~route_id)
-        (Kar.Route.cached_port_flat plan buf ~switch_id:sw);
-      Alcotest.(check int)
-        (Printf.sprintf "Route.port at SW%d" sw)
-        r.Rns.value
-        (Kar.Route.port plan ~switch_id:sw))
-    plan.Kar.Route.residues;
-  (* switches outside the plan and foreign route IDs fall back to the
-     kernel *)
-  Alcotest.(check int) "unplanned switch" (Kar.Policy.computed_port ~switch_id:23 ~route_id)
-    (Kar.Route.port plan ~switch_id:23);
-  Alcotest.(check int) "unplanned switch (flat)"
-    (Kar.Policy.computed_port ~switch_id:23 ~route_id)
-    (Kar.Route.cached_port_flat plan buf ~switch_id:23);
-  let other = Z.of_int 44 in
-  Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id:other;
-  List.iter
-    (fun r ->
-      let sw = r.Rns.modulus in
-      Alcotest.(check int)
-        (Printf.sprintf "re-encoded packet at SW%d" sw)
-        (Kar.Policy.computed_port ~switch_id:sw ~route_id:other)
-        (Kar.Route.cached_port_flat plan buf ~switch_id:sw))
-    plan.Kar.Route.residues
-
 (* The acceptance bar of the fast-path work: a steady-state forwarding
-   decision (cache lookup + NIP step, healthy computed port) touches the
+   decision (remainder + NIP step, healthy computed port) touches the
    minor heap not at all.  [Gc.minor_words] itself boxes its float result,
    so allow a small constant slack rather than demanding an exact zero. *)
 let test_forward_zero_alloc () =
   let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
   let live = live 4 in
   let hop_once () =
-    let computed = Kar.Route.port plan ~switch_id:13 in
+    let computed = Rns.port plan.Kar.Route.route_id 13 in
     ignore
       (Sys.opaque_identity
          (Kar.Policy.step Kar.Policy.Not_input_port ~computed ~in_port:0
@@ -325,7 +287,7 @@ let test_port_matches_residues () =
       Alcotest.(check int)
         (Printf.sprintf "SW%d" r.Rns.modulus)
         r.Rns.value
-        (Kar.Route.port plan ~switch_id:r.Rns.modulus))
+        (Rns.port plan.Kar.Route.route_id r.Rns.modulus))
     plan.Kar.Route.residues
 
 (* --- Protection --- *)
@@ -669,7 +631,6 @@ let same_plan (a : Kar.Route.plan) (b : Kar.Route.plan) =
   && a.Kar.Route.core_path = b.Kar.Route.core_path
   && a.Kar.Route.protection = b.Kar.Route.protection
   && a.Kar.Route.bit_length = b.Kar.Route.bit_length
-  && a.Kar.Route.residue_ports = b.Kar.Route.residue_ports
 
 let outcome f = match f () with p -> Some p | exception Invalid_argument _ -> None
 
@@ -1043,7 +1004,6 @@ let () =
         ] );
       ( "fastpath",
         [
-          Alcotest.test_case "residue cache" `Quick test_residue_cache;
           Alcotest.test_case "steady-state zero allocation" `Quick
             test_forward_zero_alloc;
         ] );

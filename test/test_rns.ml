@@ -262,28 +262,16 @@ let test_port_invalid_switch () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "switch id 0 accepted"
 
-(* The single validated entry point behind both port functions: switch ID 1
-   is degenerate but legal (everything is 0 mod 1); non-positive IDs raise
-   through the same check. *)
+(* Switch ID 1 is degenerate but legal (everything is 0 mod 1);
+   non-positive IDs raise. *)
 let test_port_switch_one () =
   Alcotest.(check int) "R mod 1" 0 (Rns.port (Z.of_int 660) 1);
   Alcotest.(check int) "0 mod 1" 0 (Rns.port Z.zero 1)
 
 let test_port_negative_switch () =
-  List.iter
-    (fun f ->
-      match f (Z.of_int 5) (-3) with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "negative switch id accepted")
-    [ Rns.port; Rns.port_fast ]
-
-let prop_port_fast_agrees =
-  qtest "port_fast = port over random systems" gen_system (fun rs ->
-      let r, _ = Rns.encode_exn rs in
-      List.for_all
-        (fun { Rns.modulus; _ } ->
-          Rns.port_fast r modulus = Rns.port r modulus)
-        rs)
+  match Rns.port (Z.of_int 5) (-3) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative switch id accepted"
 
 let () =
   Alcotest.run "rns"
@@ -318,6 +306,5 @@ let () =
           prop_roundtrip; prop_range; prop_unique; prop_order_independent;
           prop_garner_agrees; prop_encode_matches_crt; prop_extend_incremental; prop_mixed_radix_reconstructs;
           prop_pairwise_coprime_check; prop_modulus_product;
-          prop_port_fast_agrees;
         ] );
     ]

@@ -205,8 +205,7 @@ let test_truncated_suffix () =
 
 (* --- Traced netsim runs --- *)
 
-let traced_run ?(cache = false) (sc : Nets.scenario) ~link ~level ~policy
-    ~packets ~seed =
+let traced_run (sc : Nets.scenario) ~link ~level ~policy ~packets ~seed =
   let g = sc.Nets.graph in
   let engine = Netsim.Engine.create () in
   let net = Netsim.Net.create ~graph:g ~engine () in
@@ -218,9 +217,7 @@ let traced_run ?(cache = false) (sc : Nets.scenario) ~link ~level ~policy
       ()
   in
   Netsim.Net.set_recorder net (Some recorder);
-  Netsim.Karnet.install_switches
-    ?plan:(if cache then Some plan else None)
-    net ~policy ~seed;
+  Netsim.Karnet.install_switches net ~policy ~seed;
   let cache = Kar.Controller.create_cache g in
   List.iter
     (fun v ->
@@ -294,36 +291,6 @@ let test_invariant_sweep () =
              c.Experiments.Invariants.topology c.Experiments.Invariants.failure)
           c.Experiments.Invariants.packets c.Experiments.Invariants.delivered)
     cases
-
-(* The residue cache must be a pure acceleration: with the cache on
-   ([?plan] threaded into the switches) and off, every single-core-link
-   failure on net15 and rnp28 must produce the identical flight-recorder
-   trace, byte for byte in JSONL form. *)
-let test_residue_cache_differential () =
-  let core_links g =
-    List.filter
-      (fun id ->
-        let l = Graph.link g id in
-        Graph.is_core g l.Graph.ep0.Graph.node
-        && Graph.is_core g l.Graph.ep1.Graph.node)
-      (List.init (Graph.n_links g) Fun.id)
-  in
-  List.iter
-    (fun (name, sc) ->
-      List.iter
-        (fun link ->
-          let jsonl cache =
-            let _, recorder =
-              traced_run ~cache sc ~link ~level:Kar.Controller.Full
-                ~policy:Kar.Policy.Not_input_port ~packets:3 ~seed:11
-            in
-            List.map Event.to_jsonl (Recorder.contents recorder)
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s link %d: cache on = cache off" name link)
-            (jsonl false) (jsonl true))
-        (core_links sc.Nets.graph))
-    [ ("net15", Nets.net15); ("rnp28", Nets.rnp28) ]
 
 (* --- Golden fixtures --- *)
 
@@ -447,14 +414,6 @@ let test_binary_golden_compat () =
 
 (* --- Differential Walk <-> Netsim property --- *)
 
-let core_links g =
-  List.filter
-    (fun id ->
-      let l = Graph.link g id in
-      Graph.is_core g l.Graph.ep0.Graph.node
-      && Graph.is_core g l.Graph.ep1.Graph.node)
-    (List.init (Graph.n_links g) Fun.id)
-
 (* The switch-hop sequence of the (single) traced packet: every forwarding
    decision plus the delivery, with ports and remaining ttl.  Terminal
    drops are excluded — the two planes name stranding differently (the
@@ -524,7 +483,7 @@ let prop_walk_netsim_identical =
     (fun (sci, linkpick, pi, li, seed, pairpick) ->
       let sc = List.nth scenarios sci in
       let g = sc.Nets.graph in
-      let links = core_links g in
+      let links = Graph.core_links g in
       let link = List.nth links (linkpick mod List.length links) in
       let policy = List.nth Kar.Policy.all pi in
       let level = List.nth Kar.Controller.all_levels li in
@@ -582,8 +541,6 @@ let () =
           Alcotest.test_case "traced karnet run" `Quick test_karnet_traced_run;
           Alcotest.test_case "sweep: all failures, all policies" `Quick
             test_invariant_sweep;
-          Alcotest.test_case "residue cache on/off: identical traces" `Quick
-            test_residue_cache_differential;
         ] );
       ( "fixtures",
         [ Alcotest.test_case "replay and diff" `Quick test_fixture_replay ] );

@@ -141,7 +141,7 @@ let empirical g ~plan ~policy ~src ~dst ~failed ~packets ~seed =
   in
   let recorder = Trace.Recorder.create ~protected_switches () in
   Netsim.Net.set_recorder net (Some recorder);
-  Netsim.Karnet.install_switches ~plan net ~policy ~seed;
+  Netsim.Karnet.install_switches net ~policy ~seed;
   let cache = Kar.Controller.create_cache g in
   List.iter
     (fun v ->
@@ -411,7 +411,7 @@ let test_compiler_structure () =
       Alcotest.(check int) "switch_id is the label" (Graph.label g v)
         st.Compiler.switch_id;
       Alcotest.(check int) "primary is the modulo answer"
-        (Kar.Route.port plan ~switch_id:st.Compiler.switch_id)
+        (Rns.port plan.Kar.Route.route_id st.Compiler.switch_id)
         st.Compiler.primary;
       (* all-ports-live, fresh packet: a protected on-path switch forwards
          out its planned residue port *)

@@ -218,6 +218,10 @@ let test_serial_errors () =
   expect_error "node 3 core\nlink 3:0 9:0\n" "unknown node";
   expect_error "node 3 blue\n" "unknown node kind";
   expect_error "node 3 core\nnode 5 core\nlink 3:zero 5:0\n" "bad endpoint";
+  (* a core label is a modulus: 0 and labels past 2^31 - 1 are rejected *)
+  expect_error "node 0 core\n" "core label 0 outside";
+  expect_error "node 2147483659 core\n" "core label 2147483659 outside";
+  expect_error "node -7 core\n" "core label -7 outside";
   (* sparse ports are a finish-time error reported at line 0 *)
   match Topo.Serial.of_string "node 3 core\nnode 5 core\nlink 3:4 5:0\n" with
   | Error _ -> ()
@@ -277,11 +281,7 @@ let test_flat_roundtrip_known () =
       Alcotest.(check int) "reencoded cleared" 0 (F.reencoded b);
       Alcotest.(check bool) "deflected cleared" false (F.deflected b);
       Alcotest.(check bool) "live after stamp" true (F.live b);
-      Alcotest.(check int) "wire version" H.current_version (F.version b);
-      Alcotest.(check bool) "route_id_equal self" true
-        (F.route_id_equal b route_id);
-      Alcotest.(check bool) "route_id_equal other" false
-        (F.route_id_equal b (Z.add route_id Z.one)))
+      Alcotest.(check int) "wire version" H.current_version (F.version b))
     [ (0, 0, 0, 0, "0");
       (7, 1, 5, 512, "44");
       (max_int, 0xFFFF_FFFF, 0xFFFF_FFFF, 0xFFFF_FFFF, "660");
@@ -344,11 +344,17 @@ let gen_route_wide =
     in
     pure z)
 
+(* switch IDs over the whole range both remainder kernels accept,
+   [1, 2^31 - 1], ends included *)
+let gen_modulus =
+  QCheck2.Gen.(oneof [ oneofl [ 1; 0x7FFF_FFFF ]; 1 -- 1000; 1 -- 0x7FFF_FFFF ])
+
 let prop_flat_roundtrip =
   qtest ~count:300 "flat image round-trips every field"
     QCheck2.Gen.(
-      tup4 gen_route_wide (0 -- 0xFFFF) (0 -- 65535) (pair bool (0 -- 1000)))
-    (fun (rid, src, hops, (deflected, uid)) ->
+      tup4 gen_route_wide (0 -- 0xFFFF) (0 -- 65535)
+        (triple bool (0 -- 1000) gen_modulus))
+    (fun (rid, src, hops, (deflected, uid, s)) ->
       let b = F.create () in
       stamp_all b ~uid ~src ~dst:(src + 1) ~size_bytes:1500 ~route_id:rid
         ~hops ~reencoded:(hops lsr 4) ~deflected;
@@ -358,8 +364,7 @@ let prop_flat_roundtrip =
       && F.reencoded b = hops lsr 4
       && F.deflected b = deflected
       && Z.equal (F.route_id b) rid
-      && F.route_id_equal b rid
-      && F.rem_route_id b 13 = Z.rem_int rid 13)
+      && F.rem_route_id b s = Rns.port rid s)
 
 (* the Packet record wraps the image: its accessors and the raw image must
    never disagree *)
@@ -402,19 +407,10 @@ let test_flat_vs_record_step () =
       List.iter
         (fun route_id ->
           F.stamp b ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id;
-          let computed_rec = Kar.Policy.computed_port ~switch_id:sw ~route_id in
+          let computed_rec = Rns.port route_id sw in
+          let computed_flat = F.rem_route_id b sw in
           Alcotest.(check int)
-            (Printf.sprintf "computed_port SW%d" sw)
-            computed_rec
-            (Kar.Policy.computed_port_flat ~switch_id:sw b);
-          if route_id == plan.Kar.Route.route_id then
-            Alcotest.(check int)
-              (Printf.sprintf "Route.port SW%d" sw)
-              computed_rec
-              (Kar.Route.port plan ~switch_id:sw);
-          let computed_flat = Kar.Route.cached_port_flat plan b ~switch_id:sw in
-          Alcotest.(check int)
-            (Printf.sprintf "cached_port_flat SW%d" sw)
+            (Printf.sprintf "rem_route_id SW%d" sw)
             computed_rec computed_flat;
           for mask = 0 to (1 lsl degree) - 1 do
             let live = Array.init degree (fun p -> mask land (1 lsl p) <> 0) in
@@ -478,7 +474,7 @@ let test_flat_packet_zero_alloc () =
     let b = Packet.bytes p in
     for hop = 0 to 3 do
       Packet.set_hops p hop;
-      let c = Kar.Route.cached_port_flat plan b ~switch_id:13 in
+      let c = F.rem_route_id b 13 in
       ignore
         (Sys.opaque_identity
            (Kar.Policy.step Kar.Policy.Not_input_port ~computed:c
