@@ -27,7 +27,24 @@
     a {!Policy_dependent} pair can deliver every packet of a randomized
     simulation (an unlucky infinite draw sequence has probability zero)
     while still admitting a finite refutation.  The k=1 agreement test in
-    test_verify is therefore directional, not an equivalence. *)
+    test_verify is therefore directional, not an equivalence.
+
+    {!prepare} lowers the instance into a dense state machine once: every
+    state gets an integer key, and where each (plan, switch, port) hop
+    lands (a state, a delivery, a drop) is a table entry.  Per failure
+    set, {!verify} clears the failed ports from the live masks and runs
+    one BFS (states, shortest delivery, drops) and one DFS (cycles,
+    longest run) over it, in reusable per-domain scratch arrays;
+    {!refute} rebuilds witness steps from the same two passes.
+
+    Errors: {!prepare} raises [Invalid_argument] naming the argument when
+    [src] or [dst] is not an edge node of the graph, when [src = dst], and
+    when [ttl < 1].  {!verify} and {!refute} raise
+    [Invalid_argument "Verifier.verify: link id N out of range"] (resp.
+    ["Verifier.refute: ..."]) for a failed link id outside
+    [0 .. n_links - 1], and [Invalid_argument] when the exploration
+    reaches an edge-to-edge relay chain that never lands on a core switch
+    (an unsupported topology). *)
 
 module Graph = Topo.Graph
 
@@ -52,6 +69,10 @@ type classification =
 val classification_to_string : classification -> string
 val all_classifications : classification list
 
+(** The dense state machine {!prepare} derives from the compiled plans:
+    state keys, hop landings, live masks and the connectivity graph. *)
+type machine
+
 (** A prepared (and compiled) verification instance for one (src, dst)
     pair: the primary plan at index 0 plus one re-encode plan per edge
     node that can reach [dst], shared across all failure sets. *)
@@ -63,11 +84,15 @@ type instance = {
   ttl : int;
   plans : Compiler.t array;
   plan_of_edge : int array;  (** node -> plan index, -1 when unreachable *)
+  machine : machine;
 }
 
 (** [prepare ?ttl g ~plan ~policy ~src ~dst ()] compiles the primary plan
-    and every re-encode plan once; [ttl] defaults to 128 (Karnet's
-    default). *)
+    and every re-encode plan once, and precomputes the state machine;
+    [ttl] defaults to 128 (Karnet's default).
+    @raise Invalid_argument when [src] or [dst] is not an edge node, when
+    [src = dst], or when [ttl < 1].
+    @raise Compiler.Degree_too_large as {!Compiler.compile}. *)
 val prepare :
   ?ttl:int ->
   Graph.t ->
@@ -79,7 +104,11 @@ val prepare :
   instance
 
 (** [verify inst ~failed] classifies the instance under the failure set
-    [failed] (link ids). *)
+    [failed] (link ids).  Calls on any instances may interleave, on any
+    domain; the scratch is per domain, so two systhreads of one domain
+    must not run [verify] or {!refute} at once.
+    @raise Invalid_argument for a link id outside [0 .. n_links - 1], or
+    when the exploration reaches an edge-to-edge relay chain. *)
 val verify : instance -> failed:Graph.link_id list -> classification * outcome
 
 (** One hop of a concrete witness run. *)
@@ -104,5 +133,6 @@ type refutation =
 (** [refute inst ~failed] is one concrete failing run under [failed]
     ([None] when delivery is guaranteed), plus the label of the edge the
     packet stranded at straight off injection (-1 normally) so
-    {!Counterexample} can reproduce the initial re-encode. *)
+    {!Counterexample} can reproduce the initial re-encode.
+    @raise Invalid_argument as {!verify}. *)
 val refute : instance -> failed:Graph.link_id list -> refutation option * int
